@@ -761,25 +761,73 @@ impl EngineCore {
         }
     }
 
-    /// Registers the network-level shortest-path oracle on the engine's
-    /// registry: `hris_sp_oracle_{hits,misses}_total` (probes answered from
-    /// precomputed state vs. probes that ran Dijkstra) and the one-off
-    /// preprocessing cost as `hris_sp_oracle_preprocessing_micros`. No-op
-    /// when observability is off — the oracle then stays lazily built.
+    /// Registers the network-level memos on the engine's registry: the
+    /// shortest-path oracle as `hris_sp_oracle_{hits,misses}_total` (probes
+    /// answered from precomputed state vs. probes that ran Dijkstra) plus
+    /// its one-off preprocessing cost as
+    /// `hris_sp_oracle_preprocessing_micros`, and the λ-neighborhood memo as
+    /// `hris_lambda_memo_{hits,misses}_total`, `hris_lambda_memo_entries`
+    /// and `hris_lambda_memo_flushes_total`. No-op when observability is
+    /// off — the oracle then stays lazily built.
     pub(crate) fn register_oracle_metrics(&self, net: &RoadNetwork) {
         let Some(obs) = &self.obs else { return };
+        let registry = obs.registry();
         let oracle = net.sp_oracle();
-        let _ = obs.registry().register_paired(
+        let _ = registry.register_paired(
             "hris_sp_oracle",
             "Shortest-path oracle probes (hit = answered from precomputed state).",
             oracle.lookup_counters(),
         );
-        obs.registry()
+        registry
             .gauge(
                 "hris_sp_oracle_preprocessing_micros",
                 "One-off CSR/SCC/reachability preprocessing cost of the shortest-path oracle.",
             )
             .set((oracle.preprocessing_seconds() * 1e6) as i64);
+        let lambda = net.lambda_memo_counters();
+        let _ = registry.register_paired(
+            "hris_lambda_memo",
+            "Lambda-neighborhood memo lookups (hit = answered from the memo).",
+            lambda.lookups.clone(),
+        );
+        let _ = registry.register_gauge(
+            "hris_lambda_memo_entries",
+            "Lambda-neighborhoods currently held by the network's memo.",
+            lambda.entries.clone(),
+        );
+        let _ = registry.register_counter(
+            "hris_lambda_memo_flushes_total",
+            "Wholesale flushes of the lambda-neighborhood memo at its capacity bound.",
+            lambda.flushes.clone(),
+        );
+    }
+
+    /// Publishes the size of `archive`'s projection column as the gauges
+    /// `hris_archive_projection_{points,rows,bytes}`. No-op when
+    /// observability is off.
+    pub(crate) fn record_projection(&self, archive: &TrajectoryArchive) {
+        let Some(obs) = &self.obs else { return };
+        let stats = archive.projection_stats();
+        let registry = obs.registry();
+        for (name, help, value) in [
+            (
+                "hris_archive_projection_points",
+                "Archive points with candidate-segment rows in the served snapshot.",
+                stats.points,
+            ),
+            (
+                "hris_archive_projection_rows",
+                "Archive trips with candidate-segment rows in the served snapshot.",
+                stats.rows,
+            ),
+            (
+                "hris_archive_projection_bytes",
+                "Heap bytes of the served snapshot's projection column.",
+                stats.bytes,
+            ),
+        ] {
+            registry.gauge(name, help).set(value as i64);
+        }
     }
 
     pub(crate) fn observability(&self) -> Option<&EngineObs> {
@@ -1468,6 +1516,7 @@ impl<'a> QueryEngine<'a> {
         let registry = cfg.obs.enabled.then(|| Arc::new(MetricsRegistry::new()));
         let core = EngineCore::build(cfg, registry);
         core.register_oracle_metrics(hris.network());
+        core.record_projection(hris.archive());
         QueryEngine { hris, core }
     }
 
@@ -1483,6 +1532,7 @@ impl<'a> QueryEngine<'a> {
         cfg.obs.enabled = true;
         let core = EngineCore::build(cfg, Some(registry));
         core.register_oracle_metrics(hris.network());
+        core.record_projection(hris.archive());
         QueryEngine { hris, core }
     }
 

@@ -410,6 +410,7 @@ mod tests {
                     kind: RefKind::Simple,
                     sources: srcs.iter().map(|&s| TrajId(s)).collect(),
                     points: vec![GpsPoint::new(Point::ORIGIN, 0.0)],
+                    runs: Vec::new(),
                 })
                 .collect(),
         };

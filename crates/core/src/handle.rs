@@ -18,6 +18,13 @@
 //! new snapshot. Queries already in flight keep the `Arc` of the snapshot
 //! they started with — ingestion never changes an answer mid-query, and a
 //! batch is answered entirely against the single epoch it started on.
+//!
+//! # Archive projection
+//!
+//! Construction projects every point of the served archive onto the
+//! network once (see [`TrajectoryArchive::project`]). Epochs of one writer
+//! share their trips' rows, so on a new epoch only the trips appended since
+//! the last one are projected; evicted trips take their rows with them.
 
 use crate::engine::{
     EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryOutcome, QueryResult, RejectReason,
@@ -65,6 +72,8 @@ pub struct EngineHandle {
     core: EngineCore,
     /// Epoch of the snapshot the caches were last (in)validated for.
     cached_epoch: AtomicU64,
+    /// Archive points this handle has projected onto `net`.
+    projected_points: AtomicU64,
     /// Bounded admission gate; `None` when `cfg.admission` is disabled
     /// (the zero-cost default: queries never touch a lock they don't
     /// need).
@@ -100,15 +109,7 @@ impl EngineHandle {
         params: HrisParams,
         cfg: EngineConfig,
     ) -> Self {
-        let epoch = snapshot.epoch();
-        Self::build(
-            net,
-            params,
-            ArchiveSource::Fixed(snapshot),
-            cfg,
-            None,
-            epoch,
-        )
+        Self::build(net, params, ArchiveSource::Fixed(snapshot), cfg, None)
     }
 
     /// Handle following a live [`SnapshotReader`]: each query is served
@@ -121,8 +122,7 @@ impl EngineHandle {
         params: HrisParams,
         cfg: EngineConfig,
     ) -> Self {
-        let epoch = reader.epoch();
-        Self::build(net, params, ArchiveSource::Live(reader), cfg, None, epoch)
+        Self::build(net, params, ArchiveSource::Live(reader), cfg, None)
     }
 
     /// [`EngineHandle::from_snapshot`] instrumented onto a caller-owned
@@ -140,14 +140,12 @@ impl EngineHandle {
         registry: Arc<MetricsRegistry>,
     ) -> Self {
         cfg.obs.enabled = true;
-        let epoch = snapshot.epoch();
         Self::build(
             net,
             params,
             ArchiveSource::Fixed(snapshot),
             cfg,
             Some(registry),
-            epoch,
         )
     }
 
@@ -163,14 +161,12 @@ impl EngineHandle {
         registry: Arc<MetricsRegistry>,
     ) -> Self {
         cfg.obs.enabled = true;
-        let epoch = reader.epoch();
         Self::build(
             net,
             params,
             ArchiveSource::Live(reader),
             cfg,
             Some(registry),
-            epoch,
         )
     }
 
@@ -180,7 +176,6 @@ impl EngineHandle {
         source: ArchiveSource,
         cfg: EngineConfig,
         registry: Option<Arc<MetricsRegistry>>,
-        epoch: u64,
     ) -> Self {
         let registry =
             registry.or_else(|| cfg.obs.enabled.then(|| Arc::new(MetricsRegistry::new())));
@@ -190,14 +185,39 @@ impl EngineHandle {
             .then(|| AdmissionGate::new(cfg.admission.max_inflight, cfg.admission.max_queued));
         let core = EngineCore::build(cfg, registry);
         core.register_oracle_metrics(&net);
-        EngineHandle {
+        let snapshot = match &source {
+            ArchiveSource::Fixed(snap) => Arc::clone(snap),
+            ArchiveSource::Live(reader) => reader.latest(),
+        };
+        let handle = EngineHandle {
             net,
             params,
             source,
             core,
-            cached_epoch: AtomicU64::new(epoch),
+            cached_epoch: AtomicU64::new(snapshot.epoch()),
+            projected_points: AtomicU64::new(0),
             gate,
-        }
+        };
+        handle.project(snapshot.archive());
+        handle
+    }
+
+    /// Projects the trips of `archive` that have no rows yet, and publishes
+    /// the column's size when observability is on.
+    fn project(&self, archive: &TrajectoryArchive) {
+        let projected = archive.project(&self.net, self.params.candidate_eps_m);
+        self.projected_points
+            .fetch_add(projected as u64, Ordering::Relaxed);
+        self.core.record_projection(archive);
+    }
+
+    /// Archive points this handle has projected onto its network: every
+    /// point of the archive at construction, then only the trips each new
+    /// epoch appended. Points whose rows another engine (or an earlier
+    /// epoch) already filled do not count.
+    #[must_use]
+    pub fn projected_points(&self) -> u64 {
+        self.projected_points.load(Ordering::Relaxed)
     }
 
     /// The snapshot the next query would be served against. On a live
@@ -214,8 +234,13 @@ impl EngineHandle {
                     // Two racing queries may both observe the change and
                     // both invalidate; clearing twice is harmless (and the
                     // caches hold no archive-derived data anyway — see
-                    // `EngineCore::invalidate_caches`).
+                    // `EngineCore::invalidate_caches`). Projection fills
+                    // each trip's cell once, so racing callers never
+                    // project a point twice; a query that reaches a trip
+                    // before its rows are in projects that trip's points
+                    // itself.
                     self.core.invalidate_caches();
+                    self.project(snap.archive());
                 }
                 snap
             }

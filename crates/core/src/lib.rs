@@ -45,6 +45,7 @@ pub mod params;
 pub mod pipeline;
 pub mod reference;
 pub mod scoring;
+mod scratch;
 
 pub use audit::{QueryAudit, RouteExplanation};
 pub use engine::{

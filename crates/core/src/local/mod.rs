@@ -11,9 +11,17 @@ pub mod tgi;
 
 use crate::params::{HrisParams, HybridPolarity, LocalAlgorithm};
 use crate::reference::ReferenceSet;
+use crate::scratch::{Lease, SparseTable};
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::{RoadNetwork, Route, SegmentId};
+use hris_traj::ProjectionKey;
+use std::cell::Cell;
 use std::collections::HashSet;
+
+thread_local! {
+    /// Segment → local slot table of [`RefEdgeIndex::build`].
+    static SEGMENT_SLOTS: Cell<SparseTable<u32>> = Cell::default();
+}
 
 /// Per-pair instrumentation (drives the ablation figures 11b–13b).
 #[derive(Debug, Clone, Default)]
@@ -75,52 +83,87 @@ pub struct RefEdgeIndex {
 }
 
 impl RefEdgeIndex {
-    /// Builds the index by looking up candidate edges of every reference
-    /// point within `eps` metres (through the network's projection memo —
-    /// reference points recur across pairs).
+    /// Builds the index from the candidate edges of every reference point
+    /// within `eps` metres. A reference drawn from an archive projected for
+    /// `(net, eps)` gathers its points' rows from the archive's projection
+    /// column; any other reference (synthetic, or from an archive projected
+    /// for another network or radius) projects its points with
+    /// [`RoadNetwork::candidate_edges`].
     #[must_use]
     pub fn build(net: &RoadNetwork, refs: &ReferenceSet, eps: f64) -> Self {
+        let key = ProjectionKey::new(net, eps);
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (ri, r) in refs.refs.iter().enumerate() {
             let ri = u32::try_from(ri).expect("reference index fits u32");
-            for p in &r.points {
-                for cand in net.candidate_edges_cached(p.pos, eps).iter() {
-                    pairs.push((cand.segment.0, ri));
+            let start = pairs.len();
+            let mut gathered = !r.runs.is_empty();
+            for run in &r.runs {
+                let Some(segs) = run.segments(key) else {
+                    gathered = false;
+                    break;
+                };
+                pairs.extend(segs.iter().map(|s| (s.0, ri)));
+            }
+            if !gathered {
+                pairs.truncate(start);
+                for p in &r.points {
+                    for cand in net.candidate_edges(p.pos, eps) {
+                        pairs.push((cand.segment.0, ri));
+                    }
                 }
             }
         }
-        // Counting sort over the (small, dense) segment universe. The outer
-        // loop above emits reference indices in ascending order, so a stable
-        // scatter leaves every per-segment bucket sorted — same `(seg, ref)`
-        // order `from_pairs` produces, without the comparison sort.
-        let n = net.num_segments();
-        let mut counts = vec![0u32; n + 1];
-        for &(seg, _) in &pairs {
-            counts[seg as usize + 1] += 1;
+        // Counting sort over the segments this pair covers. Each segment
+        // gets a local slot in first-seen order from a per-thread table
+        // (sized to the network once, reset sparsely), and the slots are
+        // ordered by segment id. The loop above emits reference indices in
+        // ascending order, so a stable scatter leaves every per-segment
+        // bucket sorted — same `(seg, ref)` order `from_pairs` produces,
+        // without the comparison sort over all pairs.
+        let mut local = Lease::take(&SEGMENT_SLOTS, net.num_segments());
+        let mut distinct: Vec<SegmentId> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let slot_of: Vec<u32> = pairs
+            .iter()
+            .map(|&(seg, _)| {
+                let mut slot = local.get(seg as usize);
+                if slot == u32::MAX {
+                    slot = distinct.len() as u32;
+                    local.set(seg as usize, slot);
+                    distinct.push(SegmentId(seg));
+                    counts.push(0);
+                }
+                counts[slot as usize] += 1;
+                slot
+            })
+            .collect();
+        drop(local);
+        let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+        order.sort_unstable_by_key(|&slot| distinct[slot as usize]);
+        let mut starts = vec![0u32; distinct.len()];
+        let mut total = 0u32;
+        for &slot in &order {
+            starts[slot as usize] = total;
+            total += counts[slot as usize];
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut slots: Vec<u32> = vec![0; pairs.len()];
-        let mut cursor = counts.clone();
-        for &(seg, ri) in &pairs {
-            let c = &mut cursor[seg as usize];
-            slots[*c as usize] = ri;
+        let mut cursor = starts.clone();
+        let mut bucketed: Vec<u32> = vec![0; pairs.len()];
+        for (&(_, ri), &slot) in pairs.iter().zip(&slot_of) {
+            let c = &mut cursor[slot as usize];
+            bucketed[*c as usize] = ri;
             *c += 1;
         }
-        let mut segs: Vec<SegmentId> = Vec::new();
-        let mut offsets: Vec<u32> = Vec::new();
+        let mut segs: Vec<SegmentId> = Vec::with_capacity(distinct.len());
+        let mut offsets: Vec<u32> = Vec::with_capacity(distinct.len() + 1);
         let mut out_refs: Vec<u32> = Vec::new();
         let mut num_refs = 0usize;
-        for seg in 0..n {
-            let (lo, hi) = (counts[seg] as usize, counts[seg + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            segs.push(SegmentId(seg as u32));
+        for &slot in &order {
+            let lo = starts[slot as usize] as usize;
+            let hi = lo + counts[slot as usize] as usize;
+            segs.push(distinct[slot as usize]);
             offsets.push(out_refs.len() as u32);
             let start = out_refs.len();
-            for &r in &slots[lo..hi] {
+            for &r in &bucketed[lo..hi] {
                 if out_refs.len() > start && out_refs[out_refs.len() - 1] == r {
                     continue;
                 }
@@ -526,6 +569,7 @@ mod tests {
             kind: RefKind::Simple,
             sources: vec![TrajId(id)],
             points,
+            runs: Vec::new(),
         }
     }
 

@@ -245,6 +245,7 @@ mod tests {
                     kind: RefKind::Simple,
                     sources: vec![TrajId(id)],
                     points,
+                    runs: Vec::new(),
                 }
             })
             .collect();

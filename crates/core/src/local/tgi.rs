@@ -19,9 +19,18 @@
 
 use crate::local::{LocalStats, RefEdgeIndex};
 use crate::params::HrisParams;
+use crate::scratch::{Lease, SparseTable};
 use hris_geo::Point;
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::{CostModel, CsrView, DiGraph, DijkstraScratch, RoadNetwork, Route, SegmentId};
+use std::cell::Cell;
+
+thread_local! {
+    /// Segment → traverse-graph node table of [`tgi`].
+    static NODE_OF: Cell<SparseTable<u32>> = Cell::default();
+    /// Segment membership bitmask of [`tgi`], one bit per segment.
+    static IN_SET: Cell<SparseTable<u64>> = Cell::default();
+}
 
 /// Runs TGI for one query pair. Returns candidate local routes and stats.
 #[must_use]
@@ -40,22 +49,26 @@ pub fn tgi(
     // --- node set: traverse edges + query candidate edges ----------------
     // Dense interning table indexed by segment id: the per-pair graph is
     // tiny but this map is probed once per λ-neighborhood hit, so a flat
-    // array beats any hash map.
-    let mut node_of: Vec<u32> = vec![u32::MAX; net.num_segments()];
+    // array beats any hash map. It is the thread's table, reset sparsely,
+    // so a pair never allocates or clears O(|E|) memory.
+    let mut node_of = Lease::take(&NODE_OF, net.num_segments());
     // One bit per segment mirroring `node_of` occupancy: the λ scan below
     // probes membership for every neighborhood entry, and the bitmask keeps
     // those probes inside a few cache lines where the full u32 table would
     // miss to L2 on nearly every lookup.
-    let mut in_set: Vec<u64> = vec![0; net.num_segments().div_ceil(64)];
+    let mut in_set = Lease::take(&IN_SET, net.num_segments().div_ceil(64));
     let mut segs: Vec<SegmentId> = Vec::new();
     let mut intern = |seg: SegmentId, segs: &mut Vec<SegmentId>| -> usize {
-        let slot = &mut node_of[seg.index()];
-        if *slot == u32::MAX {
-            segs.push(seg);
-            *slot = (segs.len() - 1) as u32;
-            in_set[seg.index() >> 6] |= 1 << (seg.index() & 63);
+        let i = seg.index();
+        let slot = node_of.get(i);
+        if slot != u32::MAX {
+            return slot as usize;
         }
-        *slot as usize
+        segs.push(seg);
+        node_of.set(i, (segs.len() - 1) as u32);
+        let word = in_set.get(i >> 6);
+        in_set.set(i >> 6, word | 1 << (i & 63));
+        segs.len() - 1
     };
     for &seg in edge_index.traverse_edges() {
         intern(seg, &mut segs);
@@ -93,12 +106,12 @@ pub fn tgi(
         let soa = net.lambda_neighborhood_soa(seg_u, params.lambda);
         for (k, &seg_v) in soa.segs.iter().enumerate() {
             let i = seg_v.index();
-            if in_set[i >> 6] & (1 << (i & 63)) != 0 {
+            if in_set.get(i >> 6) & (1 << (i & 63)) != 0 {
                 let weight =
                     soa.dists[k] * (1.0 + gamma / (1.0 + edge_index.covering_count(seg_v) as f64));
                 edges.links.push(Link {
                     u: u as u32,
-                    v: node_of[i],
+                    v: node_of.get(i),
                     hops: soa.hops[k] as usize,
                     weight,
                 });
@@ -370,6 +383,7 @@ mod tests {
                     kind: RefKind::Simple,
                     sources: vec![TrajId(id)],
                     points,
+                    runs: Vec::new(),
                 }
             })
             .collect();
@@ -493,6 +507,7 @@ mod tests {
                 kind: RefKind::Simple,
                 sources: vec![TrajId(id)],
                 points,
+                runs: Vec::new(),
             }
         };
         let refs = ReferenceSet {

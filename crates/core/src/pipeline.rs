@@ -51,9 +51,12 @@ pub struct Hris<'a> {
 }
 
 impl<'a> Hris<'a> {
-    /// Builds the system over an already-preprocessed archive.
+    /// Builds the system over an already-preprocessed archive, projecting
+    /// every archive point onto `net` (candidate radius
+    /// `params.candidate_eps_m`) unless the archive already holds its rows.
     #[must_use]
     pub fn new(net: &'a RoadNetwork, archive: TrajectoryArchive, params: HrisParams) -> Self {
+        archive.project(net, params.candidate_eps_m);
         Hris {
             net,
             archive,

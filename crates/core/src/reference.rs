@@ -13,11 +13,21 @@
 //!
 //! Search uses two `φ`-range queries on the archive's R-tree, a hash join by
 //! trajectory id for simple references, and a uniform-grid spatial join for
-//! splicing pairs.
+//! splicing pairs. Each reference carries the archive runs its points came
+//! from, so local inference reads the points' candidate segments from the
+//! archive's projection column instead of projecting them again.
 
+use crate::scratch::{Lease, SparseTable};
 use hris_geo::Point;
 use hris_roadnet::FxHashMap;
-use hris_traj::{GpsPoint, TrajId, TrajectoryArchive};
+use hris_traj::{GpsPoint, ProjectedRun, TrajId, TrajectoryArchive};
+use std::cell::Cell;
+
+thread_local! {
+    /// Per-trajectory `(dist², point index)` argmin slots of
+    /// [`search_references`].
+    static NEAREST: Cell<SparseTable<(f64, u32)>> = Cell::default();
+}
 
 /// How a reference was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +50,11 @@ pub struct RefTrajectory {
     /// The reference's points between (approximately) `q_i` and `q_{i+1}`,
     /// in travel order.
     pub points: Vec<GpsPoint>,
+    /// The archive runs `points` was copied from, in order (one for a
+    /// simple reference, two for a spliced one), each with its trip's
+    /// projection. Empty for references not drawn from an archive; their
+    /// points are projected directly.
+    pub runs: Vec<ProjectedRun>,
 }
 
 /// All references of one query pair `⟨q_i, q_{i+1}⟩` (the paper's `C_i`).
@@ -167,29 +182,31 @@ pub fn search_references(
     // (ties to the smallest index, as `Trajectory::nearest_point` breaks
     // them) IS the global nearest point, without scanning whole
     // trajectories. Trajectory ids are dense archive indices, so the argmin
-    // runs over a flat per-trajectory slot array — no sort, no hashing.
-    let num_trajs = archive.trajectories().len();
-    let mut slots: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); num_trajs];
+    // runs over a per-thread slot table indexed by id — no hashing — and
+    // only the trajectories hit are sorted and reset.
+    let mut slots = Lease::take(&NEAREST, archive.trajectories().len());
     let nearest_per_traj =
-        |slots: &mut [(f64, u32)], hits: &[&hris_traj::ArchivePoint], q: Point| {
+        |slots: &mut SparseTable<(f64, u32)>, hits: &[&hris_traj::ArchivePoint], q: Point| {
             for p in hits {
-                let slot = &mut slots[p.traj.index()];
+                let t = p.traj.index();
+                let slot = slots.get(t);
                 let d2 = p.pos.dist_sq(q);
                 if d2 < slot.0 || (d2 == slot.0 && p.point_idx < slot.1) {
-                    *slot = (d2, p.point_idx);
+                    slots.set(t, (d2, p.point_idx));
                 }
             }
-            let mut rows: Vec<(TrajId, usize)> = Vec::new();
-            for (t, slot) in slots.iter_mut().enumerate() {
-                if slot.1 != u32::MAX {
-                    rows.push((TrajId(t as u32), slot.1 as usize));
-                    *slot = (f64::INFINITY, u32::MAX);
-                }
-            }
+            let mut ids = slots.touched().to_vec();
+            ids.sort_unstable();
+            let rows = ids
+                .into_iter()
+                .map(|t| (TrajId(t), slots.get(t as usize).1 as usize))
+                .collect();
+            slots.reset();
             rows
         };
-    let rows_i = nearest_per_traj(&mut slots, &near_i, qi);
-    let rows_j = nearest_per_traj(&mut slots, &near_j, qj);
+    let rows_i: Vec<(TrajId, usize)> = nearest_per_traj(&mut slots, &near_i, qi);
+    let rows_j: Vec<(TrajId, usize)> = nearest_per_traj(&mut slots, &near_j, qj);
+    drop(slots);
 
     // Trajectories present on both sides (merge walk, ascending-id order),
     // carrying their nearest indices.
@@ -246,6 +263,7 @@ pub fn search_references(
                 kind: RefKind::Simple,
                 sources: vec![id],
                 points: sub.to_vec(),
+                runs: vec![archive.projected_run(id, m..n + 1)],
             });
         }
     }
@@ -363,6 +381,10 @@ pub fn search_references(
                 kind: RefKind::Spliced,
                 sources: vec![id_a, id_b],
                 points,
+                runs: vec![
+                    archive.projected_run(id_a, nn_a..ka + 1),
+                    archive.projected_run(id_b, kb..nn_b + 1),
+                ],
             });
         }
     }

@@ -70,6 +70,7 @@ fn locals_strategy() -> impl Strategy<Value = Vec<LocalInferenceResult>> {
                                 kind: RefKind::Simple,
                                 sources: sources.iter().map(|&s| TrajId(s)).collect(),
                                 points: vec![GpsPoint::new(Point::ORIGIN, 0.0)],
+                                runs: Vec::new(),
                             });
                         }
                         pairs_list.push((seg, r));

@@ -259,6 +259,7 @@ fn locals_strategy() -> impl Strategy<Value = Vec<LocalInferenceResult>> {
                                 kind: RefKind::Simple,
                                 sources: sources.iter().map(|&s| TrajId(s)).collect(),
                                 points: vec![hris_traj::GpsPoint::new(Point::ORIGIN, 0.0)],
+                                runs: Vec::new(),
                             });
                         }
                         pairs_list.push((seg, r));
@@ -318,6 +319,7 @@ fn zigzag(
                 kind: RefKind::Simple,
                 sources: vec![TrajId(refs.len() as u32)],
                 points: vec![hris_traj::GpsPoint::new(Point::ORIGIN, 0.0)],
+                runs: Vec::new(),
             });
         }
         for &s in route.segments() {

@@ -267,6 +267,44 @@ impl MetricsRegistry {
         h
     }
 
+    /// Registers an existing [`Counter`] under `name`, so a component that
+    /// owns its counter (a memo shared by several engines, say) exports the
+    /// live value without copying it. Get-or-create: re-registering `name`
+    /// returns the originally registered counter and ignores the argument.
+    ///
+    /// # Panics
+    /// Panics on an invalid name or a metric-kind clash.
+    pub fn register_counter(&self, name: &str, help: &str, counter: Counter) -> Counter {
+        self.get_or_insert(
+            name,
+            help,
+            &[],
+            || Kind::Counter(counter.clone()),
+            |k| match k {
+                Kind::Counter(c) => Some(c.clone()),
+                _ => None,
+            },
+        )
+    }
+
+    /// Registers an existing [`Gauge`] under `name`; the gauge counterpart
+    /// of [`MetricsRegistry::register_counter`].
+    ///
+    /// # Panics
+    /// Panics on an invalid name or a metric-kind clash.
+    pub fn register_gauge(&self, name: &str, help: &str, gauge: Gauge) -> Gauge {
+        self.get_or_insert(
+            name,
+            help,
+            &[],
+            || Kind::Gauge(gauge.clone()),
+            |k| match k {
+                Kind::Gauge(g) => Some(g.clone()),
+                _ => None,
+            },
+        )
+    }
+
     /// Registers an existing [`PairedCounter`] under `base`: the snapshot
     /// exports it as the two counters `{base}_hits_total` and
     /// `{base}_misses_total`, both read from the same single atomic load so
@@ -437,6 +475,23 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.counter("cache_hits_total"), Some(2));
         assert_eq!(s.counter("cache_misses_total"), Some(1));
+    }
+
+    #[test]
+    fn registered_counter_and_gauge_export_the_owners_values() {
+        let r = MetricsRegistry::new();
+        let (owned_c, owned_g) = (Counter::new(), Gauge::new());
+        r.register_counter("flushes_total", "Flushes.", owned_c.clone());
+        r.register_gauge("entries", "Entries.", owned_g.clone());
+        owned_c.add(3);
+        owned_g.set(7);
+        let s = r.snapshot();
+        assert_eq!(s.counter("flushes_total"), Some(3));
+        assert_eq!(s.gauge("entries"), Some(7));
+        // Re-registering keeps the first registration.
+        r.register_counter("flushes_total", "Flushes.", Counter::new())
+            .inc();
+        assert_eq!(owned_c.get(), 4);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use digraph::{CsrView, DiGraph, DijkstraScratch};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use generator::{NetworkConfig, RoadClass};
 pub use ids::{NodeId, SegmentId};
-pub use network::{LambdaSoA, RoadNetwork, Segment};
+pub use network::{LambdaSoA, MemoCounters, RoadNetwork, Segment};
 pub use oracle::{CsrAdjacency, ScratchBuffers, SpOracle, SptTree};
 pub use osm::{parse_osm_xml, OsmNetwork};
 pub use route::Route;

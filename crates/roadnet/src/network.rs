@@ -7,10 +7,12 @@ use crate::ids::{NodeId, SegmentId};
 use crate::oracle::SpOracle;
 use crate::shortest::CostModel;
 use hris_geo::{BBox, Point, Polyline};
+use hris_obs::{Counter, Gauge, PairedCounter};
 use hris_rtree::{RTree, Spatial};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A directed road segment (Definition 2 of the paper).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -69,27 +71,38 @@ impl Spatial for SegEntry {
 
 /// Bound on memoised λ-neighborhood entries before a wholesale flush.
 const LAMBDA_CACHE_CAP: usize = 1 << 17;
-/// Bound on memoised candidate-edge projections before a wholesale flush.
-const CAND_CACHE_CAP: usize = 1 << 16;
+
+/// Source of [`RoadNetwork::instance_id`].
+static NEXT_NETWORK_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Lazily built acceleration state derived from the (immutable) network.
 ///
 /// Every entry memoises the exact output of a pure function of the network
-/// — the shortest-path oracle, λ-neighborhood hop searches, candidate-edge
-/// projections — so reads through the caches are byte-identical to the
-/// uncached computations and need no invalidation for the network's
-/// lifetime. Cloning a network starts with fresh, empty caches; persistence
-/// stores only ground truth (nodes + segments), never derived state.
+/// — the shortest-path oracle and λ-neighborhood hop searches — so reads
+/// through the caches are byte-identical to the uncached computations and
+/// need no invalidation for the network's lifetime. Cloning a network
+/// starts with fresh, empty caches; persistence stores only ground truth
+/// (nodes + segments), never derived state. Archive points' candidate
+/// edges live in the archive's projection column (`hris_traj::projection`).
 struct NetCaches {
     oracle: OnceLock<Arc<SpOracle>>,
     /// `(segment, λ)` → λ-neighborhood with hop counts and chain distances.
     lambda: Mutex<FxHashMap<(u32, u32), Arc<LambdaSoA>>>,
-    /// `(x bits, y bits, eps bits)` → candidate edges of that query circle.
-    cands: Mutex<CandCache>,
+    lambda_counters: MemoCounters,
 }
 
-/// Query-circle key (x bits, y bits, eps bits) → its candidate edges.
-type CandCache = FxHashMap<(u64, u64, u64), Arc<Vec<CandidateEdge>>>;
+/// Live counters of a network-level memo, shared with whoever registers
+/// them on a metrics registry. Updated with relaxed atomics only — no clock
+/// reads.
+#[derive(Debug, Clone, Default)]
+pub struct MemoCounters {
+    /// Lookups answered from the memo (hits) or computed fresh (misses).
+    pub lookups: PairedCounter,
+    /// Entries currently held.
+    pub entries: Gauge,
+    /// Wholesale flushes triggered by reaching the capacity bound.
+    pub flushes: Counter,
+}
 
 /// A λ-neighborhood in structure-of-arrays layout: the traverse-graph
 /// construction scans `segs` for interned hits and touches `hops`/`dists`
@@ -132,8 +145,16 @@ impl NetCaches {
         NetCaches {
             oracle: OnceLock::new(),
             lambda: Mutex::new(FxHashMap::default()),
-            cands: Mutex::new(FxHashMap::default()),
+            lambda_counters: MemoCounters::default(),
         }
+    }
+
+    /// The λ memo. Every update leaves the map holding only exact
+    /// neighborhoods (an insert or a clear either happened or did not), so
+    /// a panic elsewhere while the lock was held cannot leave it invalid:
+    /// a poisoned lock is recovered instead of failing every later query.
+    fn lambda(&self) -> MutexGuard<'_, FxHashMap<(u32, u32), Arc<LambdaSoA>>> {
+        self.lambda.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -149,14 +170,7 @@ impl std::fmt::Debug for NetCaches {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetCaches")
             .field("oracle_built", &self.oracle.get().is_some())
-            .field(
-                "lambda_entries",
-                &self.lambda.lock().map(|m| m.len()).unwrap_or(0),
-            )
-            .field(
-                "cand_entries",
-                &self.cands.lock().map(|m| m.len()).unwrap_or(0),
-            )
+            .field("lambda_entries", &self.lambda().len())
             .finish()
     }
 }
@@ -165,6 +179,7 @@ impl std::fmt::Debug for NetCaches {
 /// and a spatial index over segment geometry.
 #[derive(Debug, Clone)]
 pub struct RoadNetwork {
+    id: u64,
     nodes: Vec<Point>,
     segments: Vec<Segment>,
     /// Segments leaving each node.
@@ -292,6 +307,7 @@ impl RoadNetworkBuilder {
             });
         }
         RoadNetwork {
+            id: NEXT_NETWORK_ID.fetch_add(1, Ordering::Relaxed),
             nodes: self.nodes,
             segments: self.segments,
             out_segs,
@@ -308,6 +324,16 @@ impl RoadNetwork {
     #[must_use]
     pub fn builder() -> RoadNetworkBuilder {
         RoadNetworkBuilder::new()
+    }
+
+    /// Process-unique id of this network, assigned when it is built and
+    /// kept by clones (a clone holds the same nodes and segments). Data
+    /// derived from a network, such as an archive's point projections,
+    /// records it to tell which network it was computed for.
+    #[inline]
+    #[must_use]
+    pub fn instance_id(&self) -> u64 {
+        self.id
     }
 
     /// Number of vertices.
@@ -571,18 +597,30 @@ impl RoadNetwork {
     #[must_use]
     pub fn lambda_neighborhood_soa(&self, seg: SegmentId, lambda: usize) -> Arc<LambdaSoA> {
         let key = (seg.0, lambda as u32);
-        if let Some(hit) = self.hot.lambda.lock().expect("lambda cache").get(&key) {
+        let counters = &self.hot.lambda_counters;
+        if let Some(hit) = self.hot.lambda().get(&key) {
+            counters.lookups.hit();
             return Arc::clone(hit);
         }
+        counters.lookups.miss();
         let fresh = Arc::new(LambdaSoA::from_tuples(
             &self.lambda_neighborhood_with_dist(seg, lambda),
         ));
-        let mut map = self.hot.lambda.lock().expect("lambda cache");
+        let mut map = self.hot.lambda();
         if map.len() >= LAMBDA_CACHE_CAP {
             map.clear();
+            counters.flushes.inc();
         }
         map.insert(key, Arc::clone(&fresh));
+        counters.entries.set(map.len() as i64);
         fresh
+    }
+
+    /// The λ-neighborhood memo's hit/miss, entry and flush counters (for
+    /// metrics export).
+    #[must_use]
+    pub fn lambda_memo_counters(&self) -> &MemoCounters {
+        &self.hot.lambda_counters
     }
 
     /// Tuple view of [`RoadNetwork::lambda_neighborhood_soa`] — same memo,
@@ -599,25 +637,6 @@ impl RoadNetwork {
                 .map(|i| (soa.segs[i], soa.hops[i] as usize, soa.dists[i]))
                 .collect(),
         )
-    }
-
-    /// Memoised [`RoadNetwork::candidate_edges`], keyed by the exact query
-    /// bit patterns. Reference points are re-projected for every candidate
-    /// pair touching them; the projection is a pure function of the network,
-    /// so repeated queries cost one map lookup.
-    #[must_use]
-    pub fn candidate_edges_cached(&self, p: Point, eps: f64) -> Arc<Vec<CandidateEdge>> {
-        let key = (p.x.to_bits(), p.y.to_bits(), eps.to_bits());
-        if let Some(hit) = self.hot.cands.lock().expect("cand cache").get(&key) {
-            return Arc::clone(hit);
-        }
-        let fresh = Arc::new(self.candidate_edges(p, eps));
-        let mut map = self.hot.cands.lock().expect("cand cache");
-        if map.len() >= CAND_CACHE_CAP {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&fresh));
-        fresh
     }
 
     /// Converts the node-level graph into a [`DiGraph`] under a cost model.
@@ -871,25 +890,20 @@ mod tests {
     #[test]
     fn cached_accessors_match_uncached() {
         let net = tiny_grid();
-        let p = Point::new(50.0, 10.0);
-        assert_eq!(
-            *net.candidate_edges_cached(p, 15.0),
-            net.candidate_edges(p, 15.0)
-        );
-        // Second read hits the memo and must stay identical.
-        assert_eq!(
-            *net.candidate_edges_cached(p, 15.0),
-            net.candidate_edges(p, 15.0)
-        );
         let seg = net.out_segments(NodeId(0))[0];
         assert_eq!(
             *net.lambda_neighborhood_dists(seg, 4),
             net.lambda_neighborhood_with_dist(seg, 4)
         );
+        // Second read hits the memo and must stay identical.
         assert_eq!(
             *net.lambda_neighborhood_dists(seg, 4),
             net.lambda_neighborhood_with_dist(seg, 4)
         );
+        let counters = net.lambda_memo_counters();
+        assert_eq!(counters.lookups.get(), (1, 1));
+        assert_eq!(counters.entries.get(), 1);
+        assert_eq!(counters.flushes.get(), 0);
         // Hop-only view agrees with the hop-only search.
         let hops: Vec<(SegmentId, usize)> = net
             .lambda_neighborhood_with_dist(seg, 4)
@@ -903,6 +917,34 @@ mod tests {
         assert!(net.sp_oracle_if_built().is_some());
         let cloned = net.clone();
         assert!(cloned.sp_oracle_if_built().is_none());
+    }
+
+    #[test]
+    fn lambda_memo_survives_a_poisoned_lock() {
+        let net = tiny_grid();
+        let seg = net.out_segments(NodeId(0))[0];
+        let first = net.lambda_neighborhood_soa(seg, 3);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = net.hot.lambda.lock().expect("not yet poisoned");
+            panic!("query panicked while holding the memo lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(net.hot.lambda.is_poisoned());
+        assert_eq!(*net.lambda_neighborhood_soa(seg, 3), *first);
+        let other = net.out_segments(NodeId(4))[0];
+        assert_eq!(
+            *net.lambda_neighborhood_dists(other, 3),
+            net.lambda_neighborhood_with_dist(other, 3)
+        );
+    }
+
+    #[test]
+    fn clones_keep_the_instance_id_rebuilds_do_not() {
+        let net = tiny_grid();
+        assert_eq!(net.clone().instance_id(), net.instance_id());
+        assert_ne!(tiny_grid().instance_id(), net.instance_id());
+        let back = RoadNetwork::from_json(&net.to_json()).expect("valid serialisation");
+        assert_ne!(back.instance_id(), net.instance_id());
     }
 
     #[test]

@@ -255,7 +255,9 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Partitions `archive` over `plan` and builds the per-shard engines.
+    /// Projects `archive` onto `net` (see
+    /// [`TrajectoryArchive::project`]), partitions it over `plan` and builds
+    /// the per-shard engines.
     ///
     /// Every shard gets `params` and `cfg` verbatim. With
     /// `cfg.obs.enabled` the shards instrument themselves onto per-shard
@@ -273,6 +275,10 @@ impl ShardedEngine {
         cfg: EngineConfig,
         plan: ShardPlan,
     ) -> ShardedEngine {
+        // Projected once here, the parent's rows reach every shard archive
+        // (boundary replicas included) through the shared cells, so the
+        // shard handles below find nothing left to project.
+        archive.project(&net, params.candidate_eps_m);
         let part = partition_archive(archive, plan.cores(), plan.margin_m());
         let replication_factor = part.replication_factor();
         let mut shards = Vec::with_capacity(plan.num_shards());

@@ -9,7 +9,9 @@
 //! * **coverage** — cores tile the bounds, every point lands in its own
 //!   core, and a shard's extracted sub-network has no orphan nodes;
 //! * **determinism** — the same inputs produce bit-identical plans and
-//!   partitions.
+//!   partitions;
+//! * **projection sharing** — shard engines reuse the rows
+//!   `ShardedEngine::build` projected into the parent archive.
 
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork, SegmentId};
@@ -296,4 +298,34 @@ fn owned_is_a_subset_of_replicated_everywhere() {
         covered.into_iter().all(|b| b),
         "replication covers every segment"
     );
+}
+
+/// `ShardedEngine::build` projects the parent archive once: every shard
+/// engine, boundary replicas included, finds its rows already filled.
+#[test]
+fn shard_engines_inherit_the_parents_projection() {
+    let net = std::sync::Arc::new(net().clone());
+    let archive = random_archive(5, 60);
+    let plan = ShardPlan::grid(&net, 2, 2, 600.0);
+    let params = hris::HrisParams::default();
+    let engine = hris_router::ShardedEngine::build(
+        std::sync::Arc::clone(&net),
+        &archive,
+        params.clone(),
+        hris::EngineConfig::default(),
+        plan,
+    );
+    assert!(
+        engine.replication_factor() > 1.0,
+        "some trips are replicated"
+    );
+    let parent = archive.projection_stats();
+    assert_eq!(parent.points, archive.num_points());
+    for s in 0..engine.num_shards() {
+        let shard = engine.shard(s);
+        assert_eq!(shard.projected_points(), 0, "shard {s} projected again");
+        let snap = shard.current_snapshot();
+        assert_eq!(snap.archive().projection_stats().points, snap.num_points());
+    }
+    assert_eq!(archive.project(&net, params.candidate_eps_m), 0);
 }

@@ -4,14 +4,20 @@
 //! so that reference search can issue two `φ`-range queries per query-point
 //! pair (Section III-A). [`TrajectoryArchive`] owns the trips and the index,
 //! and offers binary/JSON persistence so large simulated archives can be
-//! generated once and reused across experiments.
+//! generated once and reused across experiments. Next to each trip it keeps
+//! the trip's point → candidate-segment rows (see [`crate::projection`]).
 
+use crate::projection::{
+    self, ProjectedRun, ProjectionCell, ProjectionStats, TripProjection, CELL_BYTES,
+};
 use crate::types::{sanitize_points, GpsPoint, PointRepairs, SanitizeLimits, TrajId, Trajectory};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hris_geo::{BBox, Point};
 use hris_obs::MetricsRegistry;
+use hris_roadnet::RoadNetwork;
 use hris_rtree::{RTree, Spatial};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One archived observation: position + time + provenance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,17 +40,40 @@ impl Spatial for ArchivePoint {
 
 /// The archive `A` of the problem statement: historical trips plus a
 /// point-level spatial index.
+///
+/// Cloning shares each trip's projection cell: rows filled through one
+/// clone are visible through every other.
 #[derive(Debug, Clone)]
 pub struct TrajectoryArchive {
     trajectories: Vec<Trajectory>,
+    /// One cell per trip, parallel to `trajectories`.
+    projections: Vec<ProjectionCell>,
     index: RTree<ArchivePoint>,
     num_points: usize,
 }
 
 impl TrajectoryArchive {
     /// Builds an archive from trips, reassigning contiguous [`TrajId`]s.
+    /// No trip is projected yet.
     #[must_use]
-    pub fn new(mut trips: Vec<Trajectory>) -> Self {
+    pub fn new(trips: Vec<Trajectory>) -> Self {
+        let cells = trips.iter().map(|_| ProjectionCell::default()).collect();
+        TrajectoryArchive::with_cells(trips, cells)
+    }
+
+    /// The trips `ids`, in that order, as a new archive that shares their
+    /// projection cells with this one.
+    pub(crate) fn subset(&self, ids: &[TrajId]) -> TrajectoryArchive {
+        TrajectoryArchive::with_cells(
+            ids.iter().map(|&id| self.trajectory(id).clone()).collect(),
+            ids.iter()
+                .map(|id| ProjectionCell::clone(&self.projections[id.index()]))
+                .collect(),
+        )
+    }
+
+    fn with_cells(mut trips: Vec<Trajectory>, projections: Vec<ProjectionCell>) -> Self {
+        debug_assert_eq!(trips.len(), projections.len());
         let mut points = Vec::new();
         for (i, t) in trips.iter_mut().enumerate() {
             t.id = TrajId(i as u32);
@@ -60,6 +89,7 @@ impl TrajectoryArchive {
         let num_points = points.len();
         TrajectoryArchive {
             trajectories: trips,
+            projections,
             index: RTree::bulk_load(points),
             num_points,
         }
@@ -86,10 +116,11 @@ impl TrajectoryArchive {
     }
 
     /// Estimated heap bytes of the fully materialized archive: every
-    /// trip's point vector plus the R-tree arena (which stores each point
-    /// a second time as an [`ArchivePoint`]). This is the "before" number
-    /// the columnar snapshot format is measured against in the capacity
-    /// section of `BENCH_e2e.json`.
+    /// trip's point vector, the R-tree arena (which stores each point
+    /// a second time as an [`ArchivePoint`]) and the projection column.
+    /// This is the "before" number the columnar snapshot format is measured
+    /// against in the capacity section of `BENCH_e2e.json`. Rows shared
+    /// with other archives (clones, shard archives) count in each.
     #[must_use]
     pub fn memory_footprint(&self) -> usize {
         let trips: usize = self
@@ -100,7 +131,52 @@ impl TrajectoryArchive {
                     + t.points.capacity() * std::mem::size_of::<GpsPoint>()
             })
             .sum();
-        trips + self.index.heap_bytes_estimate()
+        // `stats.bytes` covers the filled cells; empty ones still hold
+        // their allocation.
+        let stats = self.projection_stats();
+        let cells = self.projections.capacity() * std::mem::size_of::<ProjectionCell>()
+            + (self.projections.len() - stats.rows) * CELL_BYTES;
+        trips + self.index.heap_bytes_estimate() + cells + stats.bytes
+    }
+
+    // ------------------------------------------------------ projection column
+
+    /// Projects every not yet projected trip onto `net` with candidate
+    /// radius `eps` — the archive-side preprocessing of reference search.
+    /// Trips already projected (by this archive or a clone sharing its
+    /// cells) are skipped, whatever key they were projected for. Runs in
+    /// parallel when there is enough work. Returns the number of points
+    /// this call projected.
+    pub fn project(&self, net: &RoadNetwork, eps: f64) -> usize {
+        projection::fill(&self.trajectories, &self.projections, net, eps)
+    }
+
+    /// Trip `id`'s rows, once projected.
+    #[must_use]
+    pub fn trip_projection(&self, id: TrajId) -> Option<&TripProjection> {
+        self.projections[id.index()].get()
+    }
+
+    /// The points `points` of trip `id` with the trip's projection cell.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a trip of this archive.
+    #[must_use]
+    pub fn projected_run(&self, id: TrajId, points: Range<usize>) -> ProjectedRun {
+        ProjectedRun::new(&self.projections[id.index()], points)
+    }
+
+    /// Size of the projection column: filled rows, the points they cover
+    /// and their heap bytes.
+    #[must_use]
+    pub fn projection_stats(&self) -> ProjectionStats {
+        let mut stats = ProjectionStats::default();
+        for proj in self.projections.iter().filter_map(|c| c.get()) {
+            stats.rows += 1;
+            stats.points += proj.num_points();
+            stats.bytes += CELL_BYTES + proj.heap_bytes();
+        }
+        stats
     }
 
     /// A trajectory by id.
@@ -159,12 +235,14 @@ impl TrajectoryArchive {
         }
         self.num_points += trip.points.len();
         self.trajectories.push(trip);
+        self.projections.push(ProjectionCell::default());
         id
     }
 
     /// Evicts the `n` oldest trajectories (lowest ids): batch-deletes their
     /// points from the index with `remove_where`, then remaps the surviving
-    /// points' [`TrajId`]s in place so ids stay contiguous from zero.
+    /// points' [`TrajId`]s in place so ids stay contiguous from zero. The
+    /// evicted trips' projection cells are dropped with them.
     /// Returns the number of points removed.
     pub fn evict_front(&mut self, n: usize) -> usize {
         let n = n.min(self.trajectories.len());
@@ -181,6 +259,7 @@ impl TrajectoryArchive {
             ap.traj = TrajId(ap.traj.0 - shift);
         }
         self.trajectories.drain(..n);
+        self.projections.drain(..n);
         for (i, t) in self.trajectories.iter_mut().enumerate() {
             t.id = TrajId(i as u32);
         }

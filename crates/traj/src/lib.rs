@@ -15,6 +15,7 @@ pub mod faults;
 pub mod geojson;
 pub mod ingest;
 pub mod partition;
+pub mod projection;
 pub mod resample;
 pub mod similarity;
 pub mod simulator;
@@ -28,6 +29,7 @@ pub use ingest::{
     ArchiveSnapshot, ArchiveWriter, IngestOptions, IngestQueue, IngestReport, SnapshotReader,
 };
 pub use partition::{partition_archive, ArchivePartition};
+pub use projection::{ProjectedRun, ProjectionKey, ProjectionStats, TripProjection};
 pub use resample::{add_gps_noise, resample_to_interval};
 pub use similarity::{dtw, edr, lcss};
 pub use simulator::{SimConfig, Simulator, TripRecord};

@@ -21,10 +21,13 @@
 //!
 //! Each shard archive keeps the **relative order** of the parent archive,
 //! so shard-local [`TrajId`]s are an order-preserving renumbering of the
-//! parent ids; [`ArchivePartition::id_maps`] translates back.
+//! parent ids; [`ArchivePartition::id_maps`] translates back. Shard
+//! archives share the parent's projection cells, so a parent projected
+//! before partitioning hands every replica its rows without projecting a
+//! point twice.
 
 use crate::archive::TrajectoryArchive;
-use crate::types::{TrajId, Trajectory};
+use crate::types::TrajId;
 use hris_geo::BBox;
 
 /// Result of [`partition_archive`]: per-shard archives plus the bookkeeping
@@ -69,7 +72,6 @@ pub fn partition_archive(
     );
     let regions: Vec<BBox> = cores.iter().map(|c| c.inflated(margin_m)).collect();
 
-    let mut per_shard: Vec<Vec<Trajectory>> = vec![Vec::new(); cores.len()];
     let mut id_maps: Vec<Vec<TrajId>> = vec![Vec::new(); cores.len()];
     let mut owners: Vec<usize> = Vec::with_capacity(archive.num_trajectories());
     let mut replicas = 0usize;
@@ -89,14 +91,13 @@ pub fn partition_archive(
         let tb = traj.bbox();
         for (s, region) in regions.iter().enumerate() {
             if s == owner || region.intersects(&tb) {
-                per_shard[s].push(traj.clone());
                 id_maps[s].push(traj.id);
                 replicas += 1;
             }
         }
     }
 
-    let shards = per_shard.into_iter().map(TrajectoryArchive::new).collect();
+    let shards = id_maps.iter().map(|ids| archive.subset(ids)).collect();
     ArchivePartition {
         shards,
         id_maps,
@@ -122,7 +123,7 @@ fn nearest_core(cores: &[BBox], p: hris_geo::Point) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::GpsPoint;
+    use crate::types::{GpsPoint, Trajectory};
     use hris_geo::Point;
 
     fn traj(id: u32, pts: &[(f64, f64)]) -> Trajectory {

@@ -33,13 +33,13 @@
 //! `tests/engine_determinism.rs` and `tests/engine_observability.rs` pin
 //! this down.
 
+use crate::audit::{QueryAudit, RouteExplanation};
 use crate::global::GlobalRoute;
 use crate::local::{LocalInferenceResult, LocalStats};
 use crate::params::{EngineConfig, ExecMode, HrisParams, ObsOptions};
 use crate::pipeline::{
     degenerate_local, infer_pair, infer_pair_chain, DegenerateQuery, Hris, ScoredRoute,
 };
-use crate::audit::{QueryAudit, RouteExplanation};
 use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};
 use hris_obs::{
     clock, synthetic_tree, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,

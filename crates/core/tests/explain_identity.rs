@@ -199,6 +199,10 @@ fn rerank_attributions_follow_the_configured_model() {
             .get("attributions")
             .and_then(|a| a.as_obj())
             .expect("attribution object");
-        assert_eq!(attrs.len(), model.weights.len(), "one attribution per feature");
+        assert_eq!(
+            attrs.len(),
+            model.weights.len(),
+            "one attribution per feature"
+        );
     }
 }

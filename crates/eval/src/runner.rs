@@ -309,10 +309,7 @@ pub fn audit_hris(
     let engine = QueryEngine::with_config(&hris, cfg);
     let queries = resampled(scenario, interval_s);
     let _ = engine.infer_batch_detailed(&queries, params.k3.max(1));
-    engine
-        .audit_ring()
-        .expect("explain-enabled engine")
-        .drain()
+    engine.audit_ring().expect("explain-enabled engine").drain()
 }
 
 /// Per-query top-k accuracies for Figure 14a: returns `(avg, max)` accuracy

@@ -182,7 +182,10 @@ mod tests {
         asm.add_spans(vec![span(1, 0, 0.0), span(3, 99, 0.1)]);
         assert_eq!(
             asm.finish(TraceRecord::default()),
-            Err(AssembleError::DanglingParent { span: 3, parent: 99 })
+            Err(AssembleError::DanglingParent {
+                span: 3,
+                parent: 99
+            })
         );
     }
 

@@ -489,7 +489,9 @@ mod tests {
     #[test]
     fn snapshot_provider_overrides_metrics_and_varz() {
         let federated = MetricsRegistry::new();
-        federated.counter("shard_req_total", "Per-shard requests.").add(9);
+        federated
+            .counter("shard_req_total", "Per-shard requests.")
+            .add(9);
         let snap = federated.snapshot().with_labels(&[("shard", "3")]);
         let server = ServeState::new(demo_registry())
             .snapshot_provider(move || snap.clone())
@@ -497,7 +499,10 @@ mod tests {
             .expect("bind");
         let (_, body) = http_get(server.addr(), "/metrics");
         assert!(body.contains("shard_req_total{shard=\"3\"} 9"));
-        assert!(!body.contains("req_total 3"), "constructor registry replaced");
+        assert!(
+            !body.contains("req_total 3"),
+            "constructor registry replaced"
+        );
         let (_, varz) = http_get(server.addr(), "/varz");
         assert!(varz.contains("\"name\":\"shard_req_total\""));
     }

@@ -321,9 +321,7 @@ impl SpanGuard<'_> {
     }
 
     fn close(&mut self) -> f64 {
-        let duration_s = crate::clock::now()
-            .duration_since(self.start)
-            .as_secs_f64();
+        let duration_s = crate::clock::now().duration_since(self.start).as_secs_f64();
         self.armed = false;
         self.collector.record(Span {
             id: self.id,

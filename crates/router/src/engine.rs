@@ -700,7 +700,12 @@ impl ShardedEngine {
                         vec![("reason".to_string(), AttrValue::Text(format!("{reason:?}")))],
                     );
                 }
-                self.push_event_audit(trace_id, query, "rejected", &format!("rejected: {reason:?}"));
+                self.push_event_audit(
+                    trace_id,
+                    query,
+                    "rejected",
+                    &format!("rejected: {reason:?}"),
+                );
                 return (
                     QueryResult {
                         globals: Vec::new(),
@@ -849,7 +854,10 @@ impl ShardedEngine {
                 let _ = c.event(
                     root,
                     "degraded",
-                    vec![("pairs_fell_back".to_string(), AttrValue::Int(rerouted as i64))],
+                    vec![(
+                        "pairs_fell_back".to_string(),
+                        AttrValue::Int(rerouted as i64),
+                    )],
                 );
             }
         }
@@ -965,7 +973,8 @@ impl ShardedEngine {
             let shard_spans = spans
                 .zip(shard_guard.as_ref())
                 .map(|((c, _), g)| (c, g.id()));
-            let (locals, epoch) = self.shards[*s].local_inference_pinned_batch_traced(&subs, shard_spans);
+            let (locals, epoch) =
+                self.shards[*s].local_inference_pinned_batch_traced(&subs, shard_spans);
             if let Some(g) = shard_guard.as_mut() {
                 g.attr("epoch", epoch as i64);
             }
@@ -1014,7 +1023,10 @@ impl ShardedEngine {
                 let _ = c.event(
                     root,
                     "degraded",
-                    vec![("pairs_fell_back".to_string(), AttrValue::Int(rerouted as i64))],
+                    vec![(
+                        "pairs_fell_back".to_string(),
+                        AttrValue::Int(rerouted as i64),
+                    )],
                 );
             }
             QueryOutcome::Degraded {

@@ -82,7 +82,10 @@ fn run_workload(engine: &ShardedEngine, net: &RoadNetwork) {
             .iter()
             .enumerate()
             .map(|(i, dx)| {
-                GpsPoint::new(Point::new(seam_x + dx, y + i as f64 * 40.0), i as f64 * 120.0)
+                GpsPoint::new(
+                    Point::new(seam_x + dx, y + i as f64 * 40.0),
+                    i as f64 * 120.0,
+                )
             })
             .collect(),
     );
@@ -190,9 +193,17 @@ fn federated_scrape_is_parity_with_the_snapshot_and_structurally_pinned() {
              `BLESS=1 cargo test -p hris-router --test router_metrics_golden` \
              and commit the golden file.",
             added.len(),
-            added.iter().map(|s| format!("  {s}")).collect::<Vec<_>>().join("\n"),
+            added
+                .iter()
+                .map(|s| format!("  {s}"))
+                .collect::<Vec<_>>()
+                .join("\n"),
             removed.len(),
-            removed.iter().map(|s| format!("  {s}")).collect::<Vec<_>>().join("\n"),
+            removed
+                .iter()
+                .map(|s| format!("  {s}"))
+                .collect::<Vec<_>>()
+                .join("\n"),
         );
     }
 }

@@ -53,8 +53,14 @@ fn disabled_router_reads_the_clock_zero_times() {
         EngineConfig::default(),
         plan,
     );
-    assert!(engine.trace_ring().is_none(), "default config traces nothing");
-    assert!(engine.audit_ring().is_none(), "default config audits nothing");
+    assert!(
+        engine.trace_ring().is_none(),
+        "default config traces nothing"
+    );
+    assert!(
+        engine.audit_ring().is_none(),
+        "default config audits nothing"
+    );
 
     // One delegated in-core query and one seam query that scatters across
     // both shards — the full routing surface.
@@ -77,7 +83,10 @@ fn disabled_router_reads_the_clock_zero_times() {
             .iter()
             .enumerate()
             .map(|(i, dx)| {
-                GpsPoint::new(Point::new(seam_x + dx, y + i as f64 * 40.0), i as f64 * 120.0)
+                GpsPoint::new(
+                    Point::new(seam_x + dx, y + i as f64 * 40.0),
+                    i as f64 * 120.0,
+                )
             })
             .collect(),
     );

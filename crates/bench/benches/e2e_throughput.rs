@@ -1,6 +1,8 @@
-//! End-to-end query throughput of the three execution modes of the
-//! `QueryEngine` — sequential (plain `Hris` semantics), pair-parallel, and
-//! batch fan-out with shared caches — over the standard bench scenario.
+//! End-to-end query throughput over the standard bench scenario, three
+//! ways: `sequential` is the plain `Hris` pipeline one query at a time,
+//! `pair_parallel` the [`EngineHandle`] one query at a time through
+//! `infer_query` (pairs fan out on queries long enough), and `batch` the
+//! handle's `infer_batch_detailed` fanning queries out with a shared memo.
 //!
 //! Besides the criterion timings, the bench measures queries/sec for each
 //! mode directly (checking along the way that every mode returns results
@@ -144,7 +146,7 @@ fn measure_ingest(
             let t0 = Instant::now();
             let mut answered = 0usize;
             while !stop.load(Ordering::Acquire) || answered == 0 {
-                answered += black_box(live.infer_batch(&queries, K)).len();
+                answered += black_box(live.infer_batch_detailed(&queries, K)).len();
             }
             answered as f64 / t0.elapsed().as_secs_f64()
         })
@@ -493,62 +495,79 @@ fn measure_capacity(
     }
 }
 
+/// The scored routes of each answer, in query order.
+fn scored(results: Vec<QueryResult>) -> Vec<Vec<ScoredRoute>> {
+    results
+        .into_iter()
+        .map(|r| {
+            r.globals
+                .into_iter()
+                .map(|g| ScoredRoute {
+                    route: g.route,
+                    log_score: g.log_score,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 fn bench(c: &mut Criterion) {
     let s = bench_scenario();
     let queries = resampled_queries(&s, 180.0);
-    let hris = Hris::new(&s.net, s.archive.clone(), HrisParams::default());
+    // One network for the reference pipeline and every engine, so the
+    // oracle numbers below cover the whole run.
+    let net = Arc::new(s.net.clone());
+    let hris = Hris::new(&net, s.archive.clone(), HrisParams::default());
+    let engine = |cfg: EngineConfig| {
+        EngineHandle::with_config(
+            Arc::clone(&net),
+            s.archive.clone(),
+            HrisParams::default(),
+            cfg,
+        )
+    };
 
     // Ground truth: the plain sequential pipeline.
     let baseline: Vec<Vec<ScoredRoute>> = queries.iter().map(|q| hris.infer_routes(q, K)).collect();
 
-    let sequential = QueryEngine::with_config(&hris, EngineConfig::sequential());
-    let pair_parallel = QueryEngine::with_config(
-        &hris,
-        EngineConfig {
-            batch_parallel: false,
-            ..EngineConfig::default()
-        },
-    );
-    let batch = QueryEngine::new(&hris);
+    let pair_parallel = engine(EngineConfig::default());
+    let batch = engine(EngineConfig::default());
     // Two instrumented engines: `observed` is metrics + tracing with span
     // capture switched off (the cheap steady-state config), `spans` adds the
     // default 1-in-16 span sampling on top so the delta isolates span cost.
-    let observed = QueryEngine::with_config(
-        &hris,
+    let observed = engine(
         EngineConfig::builder()
             .observability(true)
             .span_sampling(0)
             .build()
             .expect("static engine configuration"),
     );
-    let spans = QueryEngine::with_config(
-        &hris,
+    let spans = engine(
         EngineConfig::builder()
             .observability(true)
             .build()
             .expect("static engine configuration"),
     );
 
-    let run_seq = || -> Vec<Vec<ScoredRoute>> {
-        queries
-            .iter()
-            .map(|q| sequential.infer_routes(q, K))
-            .collect()
-    };
+    let run_seq =
+        || -> Vec<Vec<ScoredRoute>> { queries.iter().map(|q| hris.infer_routes(q, K)).collect() };
     let run_pair = || -> Vec<Vec<ScoredRoute>> {
-        queries
-            .iter()
-            .map(|q| pair_parallel.infer_routes(q, K))
-            .collect()
+        scored(
+            queries
+                .iter()
+                .map(|q| pair_parallel.infer_query(q, K))
+                .collect(),
+        )
     };
-    let run_batch = || -> Vec<Vec<ScoredRoute>> { batch.infer_batch(&queries, K) };
-    let run_observed = || -> Vec<Vec<ScoredRoute>> { observed.infer_batch(&queries, K) };
-    let run_spans = || -> Vec<Vec<ScoredRoute>> { spans.infer_batch(&queries, K) };
+    let run_batch = || -> Vec<Vec<ScoredRoute>> { scored(batch.infer_batch_detailed(&queries, K)) };
+    let run_observed =
+        || -> Vec<Vec<ScoredRoute>> { scored(observed.infer_batch_detailed(&queries, K)) };
+    let run_spans = || -> Vec<Vec<ScoredRoute>> { scored(spans.infer_batch_detailed(&queries, K)) };
 
     // Correctness gate before any timing: every mode — instrumented or not —
     // must reproduce the sequential pipeline byte-for-byte.
-    assert_identical("sequential engine", &run_seq(), &baseline);
-    assert_identical("pair-parallel engine", &run_pair(), &baseline);
+    assert_identical("sequential Hris", &run_seq(), &baseline);
+    assert_identical("single-query engine", &run_pair(), &baseline);
     assert_identical("batch engine", &run_batch(), &baseline);
     assert_identical("observed batch engine", &run_observed(), &baseline);
     assert_identical("span-sampling batch engine", &run_spans(), &baseline);
@@ -601,14 +620,14 @@ fn bench(c: &mut Criterion) {
     };
     let rr_pairs = hris_eval::training_pairs(&s, &HrisParams::default(), &rr_cfg);
     let rr_model = hris::train_logistic(&rr_pairs, &rr_cfg.sgd);
-    let rerank_engine = QueryEngine::with_config(
-        &hris,
+    let rerank_engine = engine(
         EngineConfig::builder()
             .rerank(rr_model)
             .build()
             .expect("static engine configuration"),
     );
-    let run_rerank = || -> Vec<Vec<ScoredRoute>> { rerank_engine.infer_batch(&queries, K) };
+    let run_rerank =
+        || -> Vec<Vec<ScoredRoute>> { scored(rerank_engine.infer_batch_detailed(&queries, K)) };
     let rerank_results = run_rerank();
     let mut rerank_reordered = 0usize;
     for (qi, (g, w)) in rerank_results.iter().zip(&baseline).enumerate() {
@@ -637,7 +656,7 @@ fn bench(c: &mut Criterion) {
     // behaviour over the run, and the sequential qps movement against the
     // recorded PR-5 baseline (the pre-oracle hot path on this workload).
     const QPS_SEQUENTIAL_PR5: f64 = 70.261_814_197_632_66;
-    let oracle = s.net.sp_oracle();
+    let oracle = net.sp_oracle();
 
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let report = serde_json::json!({
@@ -820,28 +839,22 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("e2e_throughput");
     g.sample_size(10);
-    for (name, mode) in [
-        ("sequential", ExecMode::Sequential),
-        ("pair_parallel", ExecMode::PairParallel),
-    ] {
-        let engine = QueryEngine::with_config(
-            &hris,
-            EngineConfig {
-                mode,
-                batch_parallel: false,
-                ..EngineConfig::default()
-            },
-        );
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(engine.infer_routes(q, K));
-                }
-            });
+    g.bench_function("sequential", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(hris.infer_routes(q, K));
+            }
         });
-    }
+    });
+    g.bench_function("pair_parallel", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(pair_parallel.infer_query(q, K));
+            }
+        });
+    });
     g.bench_function("batch", |b| {
-        b.iter(|| black_box(batch.infer_batch(&queries, K)));
+        b.iter(|| black_box(batch.infer_batch_detailed(&queries, K)));
     });
     g.finish();
 }

@@ -9,7 +9,6 @@ fn main() {
     let s = bench_scenario();
     let queries = resampled_queries(&s, 180.0);
     let hris = Hris::new(&s.net, s.archive.clone(), HrisParams::default());
-    let engine = QueryEngine::with_config(&hris, EngineConfig::sequential());
     let rounds: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -18,7 +17,7 @@ fn main() {
     let mut n = 0usize;
     for _ in 0..rounds {
         for q in &queries {
-            n += engine.infer_routes(q, 2).len();
+            n += hris.infer_routes(q, 2).len();
         }
     }
     let dt = t0.elapsed().as_secs_f64();

@@ -1,21 +1,24 @@
-//! Parallel batch query engine with shared candidate / shortest-path caches.
+//! The serving engine's core: scheduling, the candidate memo, the
+//! shortest-path fallback and instrumentation behind
+//! [`EngineHandle`](crate::handle::EngineHandle).
 //!
-//! [`Hris`] answers one query on one thread. The [`QueryEngine`] wraps a
-//! `Hris` and serves the same three-phase pipeline as a throughput-oriented
-//! front end:
+//! [`Hris`](crate::Hris) answers one query on one thread. The engine serves
+//! the same three-phase pipeline as a throughput-oriented front end:
 //!
-//! * **Pair parallelism** — phases 1–2 of a query (reference search + local
-//!   inference per consecutive point pair) are independent per pair; the
-//!   engine fans them out on the thread pool and hands the results to K-GRI
-//!   in query order.
-//! * **Batch fan-out** — [`QueryEngine::infer_batch`] spreads whole queries
-//!   across the pool (each query's pairs then run sequentially, so the pool
-//!   is never oversubscribed by nested fan-out).
-//! * **Shared caches** — a bounded, sharded LRU for the shortest-path
-//!   fallback ([`SpCache`], keyed `(from, to, cost model)`) and a memo for
-//!   per-point candidate edges (keyed by the *exact bit pattern* of the
-//!   position), both shared by all pairs and all queries served by the
-//!   engine.
+//! * **Pair fan-out** — phases 1–2 of a query (reference search + local
+//!   inference per consecutive point pair) are independent per pair; a
+//!   single query with at least [`PAIR_FANOUT_MIN_PAIRS`] pairs fans them
+//!   out on the thread pool and hands the results to K-GRI in query order.
+//!   Shorter queries run their pairs on the calling thread, where fork/join
+//!   overhead would exceed the work.
+//! * **Batch fan-out** — a batch spreads whole queries across the pool;
+//!   each query's pairs then run in sequence, so the pool is never
+//!   oversubscribed by nested fan-out.
+//! * **Candidate memo** — per-point candidate edges memoised by the *exact
+//!   bit pattern* of the position, shared by all pairs and all queries,
+//!   bounded by a wholesale flush at [`CAND_MEMO_CAP`] entries. The
+//!   shortest-path fallback goes straight to the network's
+//!   [`SpOracle`](hris_roadnet::SpOracle), which memoises whole trees.
 //! * **Observability** — with [`ObsOptions::enabled`](crate::ObsOptions)
 //!   the engine records per-phase wall time, queue depth, worker occupancy,
 //!   cache hit/miss pairs, rolling-window latency quantiles and opt-in
@@ -26,20 +29,18 @@
 //!   counters that predate instrumentation.
 //!
 //! The load-bearing invariant: **scheduling, caching and instrumentation
-//! never change any result.** Pair workers only read shared state, caches
-//! are keyed exactly (no tolerance collisions), and cached values are stored
-//! verbatim — so sequential, pair-parallel and batch execution return
-//! byte-identical routes and scores, with or without metrics enabled.
-//! `tests/engine_determinism.rs` and `tests/engine_observability.rs` pin
-//! this down.
+//! never change any result.** Pair workers only read shared state, the memo
+//! is keyed exactly (no tolerance collisions), and memoised values are
+//! stored verbatim — so a fanned-out query, a batch and the plain [`Hris`]
+//! pipeline return byte-identical routes and scores, with or without
+//! metrics enabled. `tests/engine_determinism.rs` and
+//! `tests/engine_observability.rs` pin this down.
 
 use crate::audit::{QueryAudit, RouteExplanation};
 use crate::global::GlobalRoute;
 use crate::local::{LocalInferenceResult, LocalStats};
-use crate::params::{EngineConfig, ExecMode, HrisParams, ObsOptions};
-use crate::pipeline::{
-    degenerate_local, infer_pair, infer_pair_chain, DegenerateQuery, Hris, ScoredRoute,
-};
+use crate::params::{EngineConfig, HrisParams, ObsOptions};
+use crate::pipeline::{degenerate_local, infer_pair, DegenerateQuery};
 use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};
 use hris_obs::{
     clock, synthetic_tree, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
@@ -47,14 +48,24 @@ use hris_obs::{
     TraceRing, DEFAULT_TIME_BOUNDS,
 };
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::shortest::SpCache;
-use hris_roadnet::{CostModel, RoadNetwork, Route, SegmentId};
+use hris_roadnet::{CostModel, MemoCounters, RoadNetwork, Route, SegmentId};
 use hris_traj::{sanitize_points, PointRepairs, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
+
+/// Pair count from which a single query (or a router sub-query) fans its
+/// pairs out on the thread pool. Below it the pairs run on the calling
+/// thread: the fork/join overhead exceeds the work of a few pairs (the e2e
+/// benchmark measured a 0.98× *slowdown* for fan-out on 3-pair queries).
+pub(crate) const PAIR_FANOUT_MIN_PAIRS: usize = 8;
+
+/// Bound on memoised candidate lists before a wholesale flush. A pinned
+/// handle never changes epoch, so without a bound the memo would grow with
+/// every distinct query position for the life of the process.
+pub(crate) const CAND_MEMO_CAP: usize = 1 << 16;
 
 /// Why the engine refused to answer a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -206,22 +217,26 @@ pub struct QueryResult {
 /// cannot perturb results.
 type CandKey = (u64, u64);
 
-/// Hit/miss counters of the engine's two caches.
+/// Exact position → its candidate edges.
+type CandMemo = HashMap<CandKey, Arc<Vec<CandidateEdge>>>;
+
+/// Hit/miss counters of the engine's shortest-path fallback and candidate
+/// memo.
 ///
 /// # Consistency model
 ///
-/// Each cache's `(hits, misses)` pair is read from **one** atomic load of a
-/// packed [`PairedCounter`], so within a pair the numbers are mutually
-/// consistent even while a batch is in flight: `sp_hits + sp_misses` is
-/// exactly the number of shortest-path lookups issued before the snapshot,
-/// and likewise for the candidate memo. Across the two pairs (and relative
-/// to any registry metrics) no ordering is guaranteed — the two loads happen
+/// Each `(hits, misses)` pair is read from **one** atomic load of a packed
+/// [`PairedCounter`], so within a pair the numbers are mutually consistent
+/// even while a batch is in flight: `sp_hits + sp_misses` is exactly the
+/// number of shortest-path fallbacks issued before the snapshot, and
+/// likewise for the candidate memo. Across the two pairs (and relative to
+/// any registry metrics) no ordering is guaranteed — the two loads happen
 /// at slightly different instants.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineCacheStats {
-    /// Shortest-path fallback lookups answered from the cache.
+    /// Shortest-path fallbacks answered from the oracle's precomputed state.
     pub sp_hits: u64,
-    /// Shortest-path fallback lookups that ran a real search.
+    /// Shortest-path fallbacks that ran Dijkstra.
     pub sp_misses: u64,
     /// Candidate-edge lookups answered from the memo.
     pub candidate_hits: u64,
@@ -230,7 +245,7 @@ pub struct EngineCacheStats {
 }
 
 /// Per-query cache outcome tally, shared by the pair workers of one traced
-/// query (they may run on several threads under [`ExecMode::PairParallel`]).
+/// query (they run on several threads when the query's pairs fan out).
 #[derive(Default)]
 pub(crate) struct CacheTally {
     sp_hits: AtomicU64,
@@ -338,8 +353,8 @@ impl EngineObs {
     fn new(
         registry: Arc<MetricsRegistry>,
         opts: &ObsOptions,
-        sp_pair: Option<PairedCounter>,
-        cand_pair: PairedCounter,
+        sp_lookups: PairedCounter,
+        cand_memo: &MemoCounters,
     ) -> Self {
         let phase = |name: &str| {
             registry.histogram_with_labels(
@@ -349,18 +364,26 @@ impl EngineObs {
                 &[("phase", name)],
             )
         };
-        // The cache pairs are registered even when a cache is disabled (a
-        // fresh all-zero pair), so the exported metric set does not depend
-        // on the cache configuration.
         let _ = registry.register_paired(
             "hris_engine_sp_cache",
-            "Shortest-path fallback cache lookups.",
-            sp_pair.unwrap_or_default(),
+            "Shortest-path fallback lookups (hit = answered from the oracle's \
+             precomputed state, miss = ran Dijkstra).",
+            sp_lookups,
         );
         let _ = registry.register_paired(
             "hris_engine_candidate_memo",
             "Candidate-edge memo lookups.",
-            cand_pair,
+            cand_memo.lookups.clone(),
+        );
+        let _ = registry.register_gauge(
+            "hris_engine_candidate_memo_entries",
+            "Query positions currently held by the candidate-edge memo.",
+            cand_memo.entries.clone(),
+        );
+        let _ = registry.register_counter(
+            "hris_engine_candidate_memo_flushes_total",
+            "Wholesale flushes of the candidate-edge memo at its capacity bound.",
+            cand_memo.flushes.clone(),
         );
         EngineObs {
             queries: registry.counter("hris_engine_queries_total", "Queries served."),
@@ -400,7 +423,7 @@ impl EngineObs {
             ),
             batch_seconds: registry.histogram(
                 "hris_engine_batch_seconds",
-                "Wall seconds per infer_batch call.",
+                "Wall seconds per infer_batch_detailed call.",
                 &DEFAULT_TIME_BOUNDS,
             ),
             queue_depth: registry.gauge(
@@ -673,9 +696,9 @@ impl EngineObs {
 /// The immutable data one query is answered against: road network,
 /// archive and parameters. `Copy`, so pair workers capture it by value.
 ///
-/// The borrowed [`QueryEngine`] builds one from its [`Hris`]; the owned
-/// [`EngineHandle`](crate::handle::EngineHandle) builds one per query from
-/// whichever [`ArchiveSnapshot`](hris_traj::ArchiveSnapshot) epoch it is on.
+/// The [`EngineHandle`](crate::handle::EngineHandle) builds one per query
+/// from whichever [`ArchiveSnapshot`](hris_traj::ArchiveSnapshot) epoch it
+/// is on.
 #[derive(Clone, Copy)]
 pub(crate) struct EngineCtx<'e> {
     pub(crate) net: &'e RoadNetwork,
@@ -683,9 +706,8 @@ pub(crate) struct EngineCtx<'e> {
     pub(crate) params: &'e HrisParams,
 }
 
-/// The engine's cache, configuration and instrumentation state, shared by
-/// the borrowed [`QueryEngine`] and the owned
-/// [`EngineHandle`](crate::handle::EngineHandle) front ends.
+/// The cache, configuration and instrumentation state of the
+/// [`EngineHandle`](crate::handle::EngineHandle).
 ///
 /// Every inference method takes an [`EngineCtx`] naming the data to serve
 /// against instead of borrowing it at construction, which is what lets the
@@ -693,9 +715,11 @@ pub(crate) struct EngineCtx<'e> {
 /// hit/miss history.
 pub(crate) struct EngineCore {
     cfg: EngineConfig,
-    sp_cache: Option<SpCache>,
-    cand_memo: Option<RwLock<HashMap<CandKey, Arc<Vec<CandidateEdge>>>>>,
-    cand_lookups: PairedCounter,
+    cand_memo: RwLock<CandMemo>,
+    cand_counters: MemoCounters,
+    /// Shortest-path fallbacks: hit = answered from the oracle's
+    /// precomputed state, miss = ran Dijkstra.
+    sp_lookups: PairedCounter,
     obs: Option<EngineObs>,
     /// The explain/audit ring, present iff `cfg.explain.enabled` — the
     /// `Option` is the zero-overhead gate for the disabled path.
@@ -704,25 +728,18 @@ pub(crate) struct EngineCore {
 
 impl EngineCore {
     pub(crate) fn build(cfg: EngineConfig, registry: Option<Arc<MetricsRegistry>>) -> Self {
-        let sp_cache = (cfg.sp_cache_capacity > 0).then(|| SpCache::new(cfg.sp_cache_capacity));
-        let cand_lookups = PairedCounter::new();
-        let obs = registry.map(|r| {
-            EngineObs::new(
-                r,
-                &cfg.obs,
-                sp_cache.as_ref().map(SpCache::lookup_counters),
-                cand_lookups.clone(),
-            )
-        });
+        let cand_counters = MemoCounters::default();
+        let sp_lookups = PairedCounter::new();
+        let obs = registry.map(|r| EngineObs::new(r, &cfg.obs, sp_lookups.clone(), &cand_counters));
         let audits = cfg
             .explain
             .enabled
             .then(|| AuditRing::new(cfg.explain.audit_capacity));
         EngineCore {
-            sp_cache,
-            cand_memo: cfg.candidate_memo.then(|| RwLock::new(HashMap::new())),
             cfg,
-            cand_lookups,
+            cand_memo: RwLock::new(HashMap::new()),
+            cand_counters,
+            sp_lookups,
             obs,
             audits,
         }
@@ -746,7 +763,7 @@ impl EngineCore {
     /// Phase 3 through the configured scorer: the paper's K-GRI DP, plus
     /// the learned re-rank of its top-K output when
     /// [`EngineConfig::rerank`] is enabled. With re-ranking off this is
-    /// byte-identical to the legacy `k_gri_with` call it replaced.
+    /// byte-identical to the reference [`Hris`](crate::Hris) pipeline.
     fn score_globals(
         &self,
         ctx: EngineCtx<'_>,
@@ -926,11 +943,8 @@ impl EngineCore {
     }
 
     pub(crate) fn cache_stats(&self) -> EngineCacheStats {
-        let (sp_hits, sp_misses) = self
-            .sp_cache
-            .as_ref()
-            .map_or((0, 0), |c| c.lookup_counters().get());
-        let (candidate_hits, candidate_misses) = self.cand_lookups.get();
+        let (sp_hits, sp_misses) = self.sp_lookups.get();
+        let (candidate_hits, candidate_misses) = self.cand_counters.lookups.get();
         EngineCacheStats {
             sp_hits,
             sp_misses,
@@ -939,27 +953,34 @@ impl EngineCore {
         }
     }
 
-    /// Drops every cached entry from both caches, keeping their cumulative
+    /// Drops every entry of the candidate memo, keeping its cumulative
     /// hit/miss counters. The owned handle calls this when it adopts a new
     /// archive epoch.
     ///
-    /// Strictly speaking both caches are epoch-proof by construction — the
-    /// shortest-path cache keys on `(segment, segment, cost model)` over the
-    /// immutable road network and the candidate memo keys on exact query
-    /// coordinates against that same network, so neither ever holds
-    /// archive-derived data. Invalidating anyway keeps the contract simple
-    /// ("a new epoch starts with cold caches") and future-proofs the day a
-    /// cache does become archive-dependent.
+    /// Strictly speaking the memo is epoch-proof by construction — it keys
+    /// on exact query coordinates against the immutable road network, so it
+    /// never holds archive-derived data. Invalidating anyway keeps the
+    /// contract simple ("a new epoch starts with cold caches") and
+    /// future-proofs the day a cache does become archive-dependent.
     pub(crate) fn invalidate_caches(&self) {
-        if let Some(cache) = &self.sp_cache {
-            cache.clear();
-        }
-        if let Some(memo) = &self.cand_memo {
-            memo.write().expect("candidate memo").clear();
-        }
+        self.memo_write().clear();
+        self.cand_counters.entries.set(0);
     }
 
-    /// [`QueryEngine::infer_batch_detailed`] with the data named explicitly.
+    /// The candidate memo for writing. Every update leaves the map holding
+    /// only exact candidate lists (an insert or a clear either happened or
+    /// did not), so a panic elsewhere while the lock was held cannot leave
+    /// it invalid: a poisoned lock is recovered instead of failing every
+    /// later query.
+    fn memo_write(&self) -> RwLockWriteGuard<'_, CandMemo> {
+        self.cand_memo
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`EngineHandle::infer_batch_detailed`](crate::EngineHandle::infer_batch_detailed)
+    /// with the data named explicitly: with more than one query, queries fan
+    /// out across the pool and each runs its pairs in sequence.
     pub(crate) fn infer_batch_detailed(
         &self,
         ctx: EngineCtx<'_>,
@@ -971,26 +992,23 @@ impl EngineCore {
             obs.queue_depth.set(queries.len() as i64);
             clock::now()
         });
-        let run_one = |q: &Trajectory, mode: ExecMode| {
+        let run_one = |q: &Trajectory, pairs_fan_out: bool| {
             if let Some(obs) = &self.obs {
                 obs.queue_depth.dec();
                 obs.workers_busy.inc();
             }
-            let out = self.infer_query_mode(ctx, q, k, mode);
+            let out = self.infer_query_traced(ctx, q, k, pairs_fan_out, self.mint_trace_id());
             if let Some(obs) = &self.obs {
                 obs.workers_busy.dec();
             }
             out
         };
-        let result = if self.cfg.batch_parallel && queries.len() > 1 {
+        let result = if queries.len() > 1 {
             // One level of fan-out only: queries go to the pool, each
             // query's pairs run sequentially inside their worker.
-            queries
-                .par_iter()
-                .map(|q| run_one(q, ExecMode::Sequential))
-                .collect()
+            queries.par_iter().map(|q| run_one(q, false)).collect()
         } else {
-            queries.iter().map(|q| run_one(q, self.cfg.mode)).collect()
+            queries.iter().map(|q| run_one(q, true)).collect()
         };
         if let (Some(obs), Some(t0)) = (&self.obs, batch_timer) {
             obs.batch_seconds
@@ -1004,31 +1022,23 @@ impl EngineCore {
     /// pinned by `tests/engine_robustness.rs`. Dirty queries are repaired
     /// (sanitized, re-sorted, deduplicated) and answered through the
     /// degradation chain; unusable queries are rejected instead of panicking.
-    pub(crate) fn infer_query_mode(
-        &self,
-        ctx: EngineCtx<'_>,
-        query: &Trajectory,
-        k: usize,
-        mode: ExecMode,
-    ) -> QueryResult {
-        let trace_id = self.mint_trace_id();
-        self.infer_query_traced(ctx, query, k, mode, trace_id)
-    }
-
-    /// [`EngineCore::infer_query_mode`] under a caller-minted trace id —
-    /// the delegation seam of distributed tracing: a sharded router mints
-    /// one id at its routing decision and threads it here, so the shard's
-    /// trace and audit records join the router's stitched tree.
+    ///
+    /// The query runs under a caller-minted trace id — the delegation seam
+    /// of distributed tracing: a sharded router mints one id at its routing
+    /// decision and threads it here, so the shard's trace and audit records
+    /// join the router's stitched tree. `pairs_fan_out` lets the query fan
+    /// its pairs out once it has [`PAIR_FANOUT_MIN_PAIRS`] of them; a batch
+    /// worker passes `false`.
     pub(crate) fn infer_query_traced(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         k: usize,
-        mode: ExecMode,
+        pairs_fan_out: bool,
         trace_id: u64,
     ) -> QueryResult {
         if !self.cfg.validation.enabled {
-            let (globals, stats) = self.infer_detailed_mode(ctx, query, k, mode, trace_id);
+            let (globals, stats) = self.infer_detailed(ctx, query, k, pairs_fan_out, trace_id);
             return QueryResult {
                 globals,
                 stats,
@@ -1042,7 +1052,7 @@ impl EngineCore {
             return self.reject(query, trace_id, RejectReason::EmptyQuery);
         }
         if self.query_is_valid(query) {
-            let (globals, stats) = self.infer_detailed_mode(ctx, query, k, mode, trace_id);
+            let (globals, stats) = self.infer_detailed(ctx, query, k, pairs_fan_out, trace_id);
             return QueryResult {
                 globals,
                 stats,
@@ -1058,7 +1068,7 @@ impl EngineCore {
         // constructor cannot panic here.
         let repaired = Trajectory::new(query.id, pts);
         let (globals, stats, pairs_fell_back, locals) =
-            self.infer_repaired(ctx, &repaired, k, mode);
+            self.infer_repaired(ctx, &repaired, k, pairs_fan_out);
         let outcome = if pairs_fell_back > 0 {
             QueryOutcome::Degraded {
                 repairs,
@@ -1136,10 +1146,10 @@ impl EngineCore {
     }
 
     /// Phases 1–3 for a repaired query. Unlike the clean path this runs each
-    /// pair through [`infer_pair_chain`] — primary algorithm, then (when
-    /// [`ValidationOptions::algorithm_fallback`] is set) forced TGI and NNI,
-    /// then the shortest-path fallback — and reports how many pairs needed a
-    /// fallback.
+    /// pair through the whole degradation chain of [`infer_pair`] — primary
+    /// algorithm, then (when [`ValidationOptions::algorithm_fallback`] is
+    /// set) forced TGI and NNI, then the shortest-path fallback — and reports
+    /// how many pairs needed a fallback.
     ///
     /// [`ValidationOptions::algorithm_fallback`]: crate::params::ValidationOptions
     fn infer_repaired(
@@ -1147,7 +1157,7 @@ impl EngineCore {
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         k: usize,
-        mode: ExecMode,
+        pairs_fan_out: bool,
     ) -> (
         Vec<GlobalRoute>,
         Vec<LocalStats>,
@@ -1174,7 +1184,7 @@ impl EngineCore {
             .collect();
         let pair_indices: Vec<usize> = (0..query.len() - 1).collect();
         let work = |i: usize| {
-            infer_pair_chain(
+            infer_pair(
                 net,
                 ctx.archive,
                 params,
@@ -1187,27 +1197,28 @@ impl EngineCore {
             )
         };
         let results: Vec<(LocalInferenceResult, bool)> =
-            match self.effective_mode(mode, pair_indices.len()) {
-                ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
-                ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
+            if fans_out(pairs_fan_out, pair_indices.len()) {
+                pair_indices.par_iter().map(|&i| work(i)).collect()
+            } else {
+                pair_indices.into_iter().map(work).collect()
             };
         let fell_back = results.iter().filter(|(_, fb)| *fb).count();
         let locals = results.into_iter().map(|(l, _)| l).collect();
         finish(locals, fell_back)
     }
 
-    fn infer_detailed_mode(
+    fn infer_detailed(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         k: usize,
-        mode: ExecMode,
+        pairs_fan_out: bool,
         trace_id: u64,
     ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
         let params = ctx.params;
         let Some(obs) = &self.obs else {
             // Uninstrumented fast path: no clocks, no tallies, no spans.
-            let run = self.local_inference_run(ctx, query, mode, None, false, None);
+            let run = self.local_inference_run(ctx, query, pairs_fan_out, None, false, None);
             let stats = run.locals.iter().map(|l| l.stats.clone()).collect();
             let globals = self.score_globals(ctx, &run.locals, k);
             if let Some(ring) = &self.audits {
@@ -1232,7 +1243,8 @@ impl EngineCore {
 
         let t_query = clock::now();
         let tally = obs.tracing().then(CacheTally::default);
-        let run = self.local_inference_run(ctx, query, mode, tally.as_ref(), true, spanctx);
+        let run =
+            self.local_inference_run(ctx, query, pairs_fan_out, tally.as_ref(), true, spanctx);
 
         let mut global_guard = spanctx.map(|(c, root)| c.child(root, "global"));
         let global_span_id = global_guard.as_ref().map_or(0, SpanGuard::id);
@@ -1302,12 +1314,12 @@ impl EngineCore {
     /// Phases 1–2 with optional wall-clock timing (`timed`), optional
     /// per-query cache attribution (`tally`) and optional span capture
     /// (`spans` = collector + root span id). Untimed calls perform zero
-    /// clock reads.
+    /// clock reads. `pairs_fan_out` as in [`EngineCore::infer_query_traced`].
     pub(crate) fn local_inference_run(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
-        mode: ExecMode,
+        pairs_fan_out: bool,
         tally: Option<&CacheTally>,
         timed: bool,
         spans: Option<(&SpanCollector, u64)>,
@@ -1337,7 +1349,7 @@ impl EngineCore {
             DegenerateQuery::No => {}
         }
         // Candidates once per point (shared by the two adjoining pairs),
-        // through the cross-query memo when enabled.
+        // through the cross-query memo.
         let mut cand_guard = spans.map(|(c, root)| c.child(root, "candidates"));
         let candidates_span = cand_guard.as_ref().map_or(0, SpanGuard::id);
         let t_cands = timed.then(clock::now);
@@ -1372,12 +1384,15 @@ impl EngineCore {
                 &cands[i],
                 &cands[i + 1],
                 &|a, b| self.sp_fallback(net, a, b, tally),
+                false,
             )
+            .0
         };
         let t_local = timed.then(clock::now);
-        let locals = match self.effective_mode(mode, pair_indices.len()) {
-            ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
-            ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
+        let locals = if fans_out(pairs_fan_out, pair_indices.len()) {
+            pair_indices.par_iter().map(|&i| work(i)).collect()
+        } else {
+            pair_indices.into_iter().map(work).collect()
         };
         let local_s = t_local.map_or(0.0, |t| clock::now().duration_since(t).as_secs_f64());
         let _ = local_guard.map(SpanGuard::finish);
@@ -1391,63 +1406,51 @@ impl EngineCore {
         }
     }
 
-    /// The scheduling mode actually used for a query with `pairs` point
-    /// pairs: [`ExecMode::PairParallel`] degrades to sequential below the
-    /// configured `pair_parallel_min_pairs` threshold, where fork/join
-    /// overhead outweighs the per-pair work. Scheduling never changes
-    /// results, so this is a pure throughput decision.
-    fn effective_mode(&self, mode: ExecMode, pairs: usize) -> ExecMode {
-        match mode {
-            ExecMode::PairParallel if pairs < self.cfg.pair_parallel_min_pairs => {
-                ExecMode::Sequential
-            }
-            m => m,
-        }
-    }
-
-    /// Candidate edges of a point, memoised by exact position.
+    /// Candidate edges of a point, memoised by exact position. At
+    /// [`CAND_MEMO_CAP`] entries the memo is flushed wholesale before the
+    /// next insert.
     fn candidates(
         &self,
         ctx: EngineCtx<'_>,
         p: hris_geo::Point,
         tally: Option<&CacheTally>,
     ) -> Arc<Vec<CandidateEdge>> {
-        let Some(memo) = &self.cand_memo else {
-            self.cand_lookups.miss();
-            if let Some(t) = tally {
-                CacheTally::bump(&t.cand_misses);
-            }
-            return Arc::new(crate::pipeline::query_candidates(ctx.net, ctx.params, p));
-        };
         let key: CandKey = (p.x.to_bits(), p.y.to_bits());
-        if let Some(hit) = memo.read().expect("candidate memo").get(&key) {
-            self.cand_lookups.hit();
+        let hit = self
+            .cand_memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .cloned();
+        if let Some(hit) = hit {
+            self.cand_counters.lookups.hit();
             if let Some(t) = tally {
                 CacheTally::bump(&t.cand_hits);
             }
-            return Arc::clone(hit);
+            return hit;
         }
-        self.cand_lookups.miss();
+        self.cand_counters.lookups.miss();
         if let Some(t) = tally {
             CacheTally::bump(&t.cand_misses);
         }
         let fresh = Arc::new(crate::pipeline::query_candidates(ctx.net, ctx.params, p));
+        let mut memo = self.memo_write();
+        if memo.len() >= CAND_MEMO_CAP {
+            memo.clear();
+            self.cand_counters.flushes.inc();
+        }
         // A racing writer may have inserted the same key meanwhile; both
         // computed the same value, so either entry is correct.
-        memo.write()
-            .expect("candidate memo")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&fresh));
+        memo.entry(key).or_insert_with(|| Arc::clone(&fresh));
+        self.cand_counters.entries.set(memo.len() as i64);
         fresh
     }
 
-    /// Shortest-path fallback through the network's [`SpOracle`], with the
-    /// per-pair [`SpCache`] demoted to the oracle-miss path: the oracle's
-    /// precomputed state (reachability matrix, cached trees) answers first,
-    /// the route cache is only consulted — and only filled — when the
-    /// oracle would have to run Dijkstra. Inlined (rather than calling a
-    /// shared helper) so a traced query can attribute the hit/miss to
-    /// itself.
+    /// Shortest-path fallback through the network's
+    /// [`SpOracle`](hris_roadnet::SpOracle): answered from its precomputed
+    /// state (reachability, cached trees) when possible — a hit — otherwise
+    /// by running Dijkstra — a miss. Inlined (rather than calling a shared
+    /// helper) so a traced query can attribute the hit/miss to itself.
     fn sp_fallback(
         &self,
         net: &RoadNetwork,
@@ -1457,222 +1460,41 @@ impl EngineCore {
     ) -> Option<Route> {
         let oracle = net.sp_oracle();
         if let Some(answer) = oracle.route_between_cached(a, b, CostModel::Distance) {
-            return answer;
-        }
-        let Some(cache) = &self.sp_cache else {
-            return oracle.route_between(a, b, CostModel::Distance);
-        };
-        let key = (a, b, CostModel::Distance);
-        if let Some(cached) = cache.get(&key) {
+            self.sp_lookups.hit();
             if let Some(t) = tally {
                 CacheTally::bump(&t.sp_hits);
             }
-            return cached;
+            return answer;
         }
+        self.sp_lookups.miss();
         if let Some(t) = tally {
             CacheTally::bump(&t.sp_misses);
         }
-        let fresh = oracle.route_between(a, b, CostModel::Distance);
-        cache.insert(key, fresh.clone());
-        fresh
+        oracle.route_between(a, b, CostModel::Distance)
     }
 }
 
-/// Throughput-oriented front end over a borrowed [`Hris`] instance.
-///
-/// Cheap to construct; holds only cache and instrumentation state. All
-/// methods take `&self` and the engine is `Sync`, so one engine may serve
-/// many threads. Because it borrows its `Hris` (and through it the road
-/// network) for its whole lifetime, a `QueryEngine` cannot outlive its data
-/// or follow a live archive — for owned, `'static` serving (async runtimes,
-/// spawned threads, live ingestion) use
-/// [`EngineHandle`](crate::handle::EngineHandle) instead.
-///
-/// # Which entrypoint should I call?
-///
-/// [`QueryEngine::infer_query`] is the canonical single-query path and
-/// [`QueryEngine::infer_batch_detailed`] the canonical batch path — every
-/// other inference method is a thin wrapper that discards part of their
-/// output. New code should call the canonical ones; the wrappers exist for
-/// callers that want the narrower historical shapes.
-pub struct QueryEngine<'a> {
-    hris: &'a Hris<'a>,
-    core: EngineCore,
-}
-
-impl<'a> QueryEngine<'a> {
-    /// Engine with the default configuration (pair-parallel, both caches,
-    /// instrumentation off).
-    #[must_use]
-    pub fn new(hris: &'a Hris<'a>) -> Self {
-        QueryEngine::with_config(hris, EngineConfig::default())
-    }
-
-    /// Engine with an explicit configuration. When `cfg.obs.enabled`, the
-    /// engine instruments itself onto a fresh private registry (reachable
-    /// through [`QueryEngine::observability`]).
-    #[must_use]
-    pub fn with_config(hris: &'a Hris<'a>, cfg: EngineConfig) -> Self {
-        let registry = cfg.obs.enabled.then(|| Arc::new(MetricsRegistry::new()));
-        let core = EngineCore::build(cfg, registry);
-        core.register_oracle_metrics(hris.network());
-        core.record_projection(hris.archive());
-        QueryEngine { hris, core }
-    }
-
-    /// Engine instrumented onto a caller-owned registry (e.g. one shared
-    /// with other components or scraped by an exporter). Implies
-    /// `cfg.obs.enabled`.
-    #[must_use]
-    pub fn with_registry(
-        hris: &'a Hris<'a>,
-        mut cfg: EngineConfig,
-        registry: Arc<MetricsRegistry>,
-    ) -> Self {
-        cfg.obs.enabled = true;
-        let core = EngineCore::build(cfg, Some(registry));
-        core.register_oracle_metrics(hris.network());
-        core.record_projection(hris.archive());
-        QueryEngine { hris, core }
-    }
-
-    fn ctx(&self) -> EngineCtx<'_> {
-        EngineCtx {
-            net: self.hris.network(),
-            archive: self.hris.archive(),
-            params: self.hris.params(),
-        }
-    }
-
-    /// The wrapped system.
-    #[must_use]
-    pub fn hris(&self) -> &Hris<'a> {
-        self.hris
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        self.core.config()
-    }
-
-    /// The engine's instrumentation, when enabled.
-    #[must_use]
-    pub fn observability(&self) -> Option<&EngineObs> {
-        self.core.observability()
-    }
-
-    /// The explain/audit ring, when [`ExplainOptions`](crate::params::ExplainOptions)
-    /// enabled it. The returned handle shares storage with the engine's ring.
-    #[must_use]
-    pub fn audit_ring(&self) -> Option<AuditRing> {
-        self.core.audits().cloned()
-    }
-
-    /// Current cache counters (cumulative since construction). Each
-    /// `(hits, misses)` pair is one consistent reading — see
-    /// [`EngineCacheStats`] for the exact guarantees.
-    #[must_use]
-    pub fn cache_stats(&self) -> EngineCacheStats {
-        self.core.cache_stats()
-    }
-
-    /// One query through the validation screen: answer plus its
-    /// [`QueryOutcome`]. Never panics on malformed input.
-    ///
-    /// **This is the canonical single-query entrypoint** — the other
-    /// single-query methods are wrappers that discard part of its output.
-    #[must_use]
-    pub fn infer_query(&self, query: &Trajectory, k: usize) -> QueryResult {
-        self.core
-            .infer_query_mode(self.ctx(), query, k, self.config().mode)
-    }
-
-    /// Top-`k` routes of one query (same contract as [`Hris::infer_routes`]).
-    /// Thin wrapper over [`QueryEngine::infer_query`] that drops the
-    /// [`QueryOutcome`] and per-pair statistics.
-    #[must_use]
-    pub fn infer_routes(&self, query: &Trajectory, k: usize) -> Vec<ScoredRoute> {
-        self.infer_query(query, k)
-            .globals
-            .into_iter()
-            .map(|g| ScoredRoute {
-                route: g.route,
-                log_score: g.log_score,
-            })
-            .collect()
-    }
-
-    /// The most likely single route. Thin wrapper over
-    /// [`QueryEngine::infer_query`] with `k = 1`.
-    #[must_use]
-    pub fn infer_top1(&self, query: &Trajectory) -> Option<ScoredRoute> {
-        self.infer_routes(query, 1).into_iter().next()
-    }
-
-    /// Full inference with per-pair instrumentation, in the historical
-    /// tuple shape. Thin wrapper over [`QueryEngine::infer_query`] that
-    /// drops the [`QueryOutcome`].
-    #[must_use]
-    pub fn infer_routes_detailed(
-        &self,
-        query: &Trajectory,
-        k: usize,
-    ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
-        let r = self.infer_query(query, k);
-        (r.globals, r.stats)
-    }
-
-    /// Every query of a batch through the validation screen, sharing both
-    /// caches and — when `batch_parallel` is set — spreading queries across
-    /// the pool.
-    ///
-    /// **This is the canonical batch entrypoint**;
-    /// [`QueryEngine::infer_batch`] wraps it.
-    #[must_use]
-    pub fn infer_batch_detailed(&self, queries: &[Trajectory], k: usize) -> Vec<QueryResult> {
-        self.core.infer_batch_detailed(self.ctx(), queries, k)
-    }
-
-    /// Top-`k` routes for every query of a batch. Thin wrapper over
-    /// [`QueryEngine::infer_batch_detailed`] that keeps only the scored
-    /// routes.
-    #[must_use]
-    pub fn infer_batch(&self, queries: &[Trajectory], k: usize) -> Vec<Vec<ScoredRoute>> {
-        self.infer_batch_detailed(queries, k)
-            .into_iter()
-            .map(|r| {
-                r.globals
-                    .into_iter()
-                    .map(|g| ScoredRoute {
-                        route: g.route,
-                        log_score: g.log_score,
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Phases 1–2 under the engine's scheduling and caches (phase 3 input).
-    #[must_use]
-    pub fn local_inference(&self, query: &Trajectory) -> Vec<LocalInferenceResult> {
-        self.core
-            .local_inference_run(self.ctx(), query, self.config().mode, None, false, None)
-            .locals
-    }
+/// Whether a query with `pairs` point pairs fans them out on the pool:
+/// only when its caller allows it and it has at least
+/// [`PAIR_FANOUT_MIN_PAIRS`] pairs. Scheduling never changes results, so
+/// this is a pure throughput decision.
+fn fans_out(allowed: bool, pairs: usize) -> bool {
+    allowed && pairs >= PAIR_FANOUT_MIN_PAIRS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::EngineHandle;
     use crate::params::HrisParams;
+    use crate::pipeline::Hris;
     use hris_roadnet::{generator, NetworkConfig};
     use hris_traj::{TrajId, TrajectoryArchive};
 
-    fn sparse_setup() -> (hris_roadnet::RoadNetwork, Vec<Trajectory>) {
+    fn sparse_setup() -> (Arc<RoadNetwork>, Vec<Trajectory>) {
         // Empty archive → every pair takes the shortest-path fallback, so
-        // the SP cache sees traffic deterministically.
-        let net = generator::generate(&NetworkConfig::small(5));
+        // the fallback counters see traffic deterministically.
+        let net = Arc::new(generator::generate(&NetworkConfig::small(5)));
         let mk = |id: u32, x0: f64| {
             Trajectory::new(
                 TrajId(id),
@@ -1690,26 +1512,34 @@ mod tests {
         (net, queries)
     }
 
+    fn handle(net: &Arc<RoadNetwork>, cfg: EngineConfig) -> EngineHandle {
+        EngineHandle::with_config(
+            Arc::clone(net),
+            TrajectoryArchive::empty(),
+            HrisParams::default(),
+            cfg,
+        )
+    }
+
     #[test]
-    fn sp_cache_reused_across_batch_queries() {
+    fn repeated_queries_hit_the_oracle_and_the_memo() {
         let (net, queries) = sparse_setup();
-        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        let engine = QueryEngine::new(&hris);
-        let out = engine.infer_batch(&queries, 2);
-        assert_eq!(out.len(), queries.len());
+        let engine = handle(&net, EngineConfig::default());
+        for q in &queries {
+            let _ = engine.infer_query(q, 2);
+        }
         let stats = engine.cache_stats();
-        // Queries 0 and 1 are identical: the second one's fallbacks must be
-        // answered from precomputed shortest-path state. The oracle sits in
-        // front of the route cache, so repeats land on its cached trees;
-        // the demoted SpCache only ever sees first-time oracle misses.
-        let oracle = net.sp_oracle();
+        // Every pair fell back to a shortest path, and each fallback counts
+        // exactly once on the engine's pair.
+        let pairs: u64 = queries.iter().map(|q| q.len() as u64 - 1).sum();
+        assert_eq!(stats.sp_hits + stats.sp_misses, pairs, "{stats:?}");
+        // Queries 0 and 1 are identical: the second one's fallbacks are
+        // answered from the trees the first one made the oracle build.
         assert!(
-            oracle.hits() > 0,
-            "expected oracle hits, got {}/{} and {stats:?}",
-            oracle.hits(),
-            oracle.misses()
+            stats.sp_misses > 0,
+            "first fallbacks run Dijkstra: {stats:?}"
         );
-        assert_eq!(stats.sp_hits, 0, "oracle should absorb repeats: {stats:?}");
+        assert!(stats.sp_hits > 0, "repeats must hit the oracle: {stats:?}");
         assert!(
             stats.candidate_hits > 0,
             "expected memo hits, got {stats:?}"
@@ -1717,60 +1547,79 @@ mod tests {
     }
 
     #[test]
-    fn disabled_caches_report_zero() {
+    fn candidate_memo_stays_bounded_past_its_cap() {
         let (net, queries) = sparse_setup();
+        let engine = handle(
+            &net,
+            EngineConfig::builder().observability(true).build().unwrap(),
+        );
         let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        let engine = QueryEngine::with_config(&hris, EngineConfig::sequential());
-        let _ = engine.infer_batch(&queries, 2);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.sp_hits, 0);
-        assert_eq!(stats.candidate_hits, 0);
-        assert!(stats.candidate_misses > 0);
+        let before: Vec<_> = queries.iter().map(|q| engine.infer_query(q, 2)).collect();
+        // Flood the memo with distinct positions, one past the cap.
+        let snap = engine.current_snapshot();
+        let ctx = EngineCtx {
+            net: &net,
+            archive: snap.archive(),
+            params: engine.params(),
+        };
+        let core = engine.core();
+        for i in 0..=CAND_MEMO_CAP {
+            let p = hris_geo::Point::new((i % 256) as f64 * 7.0, (i / 256) as f64 * 7.0 + 0.5);
+            let got = core.candidates(ctx, p, None);
+            assert_eq!(
+                *got,
+                crate::pipeline::query_candidates(&net, engine.params(), p)
+            );
+        }
+        let entries = core.cand_memo.read().unwrap().len();
+        assert!(entries <= CAND_MEMO_CAP, "memo grew to {entries}");
+        let obs_snap = engine.observability().unwrap().snapshot();
+        assert_eq!(
+            obs_snap.gauge("hris_engine_candidate_memo_entries"),
+            Some(entries as i64)
+        );
+        assert!(
+            obs_snap
+                .counter("hris_engine_candidate_memo_flushes_total")
+                .is_some_and(|n| n >= 1),
+            "the flood must flush the memo"
+        );
+        // Answers after the flush equal the reference pipeline's and the
+        // answers served before it.
+        for (q, was) in queries.iter().zip(&before) {
+            let now = engine.infer_query(q, 2);
+            let (want, _) = hris.infer_routes_detailed(q, 2);
+            assert_eq!(now.globals.len(), want.len());
+            assert_eq!(now.globals.len(), was.globals.len());
+            for ((a, b), c) in now.globals.iter().zip(&want).zip(&was.globals) {
+                assert_eq!(a.route, b.route);
+                assert_eq!(a.route, c.route);
+                assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
+                assert_eq!(a.local_indices, b.local_indices);
+            }
+        }
+        assert!(core.cand_memo.read().unwrap().len() <= CAND_MEMO_CAP);
     }
 
     #[test]
-    fn pair_parallel_threshold_degrades_to_sequential() {
+    fn candidate_memo_survives_a_poisoned_lock() {
         let (net, queries) = sparse_setup();
-        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        // Every query above has 3 pairs: a threshold of 4 must route them
-        // sequentially, a threshold of 0 must fan out — and both must
-        // return routes byte-identical to each other (scheduling is
-        // forbidden from changing results).
-        let gated = QueryEngine::with_config(
-            &hris,
-            EngineConfig::builder()
-                .pair_parallel_min_pairs(4)
-                .build()
-                .unwrap(),
-        );
-        let eager = QueryEngine::with_config(
-            &hris,
-            EngineConfig::builder()
-                .pair_parallel_min_pairs(0)
-                .build()
-                .unwrap(),
-        );
-        assert_eq!(
-            gated.core.effective_mode(ExecMode::PairParallel, 3),
-            ExecMode::Sequential
-        );
-        assert_eq!(
-            eager.core.effective_mode(ExecMode::PairParallel, 3),
-            ExecMode::PairParallel
-        );
-        // An explicit sequential request is never upgraded.
-        assert_eq!(
-            eager.core.effective_mode(ExecMode::Sequential, 100),
-            ExecMode::Sequential
-        );
+        let engine = handle(&net, EngineConfig::default());
+        let want = engine.infer_query(&queries[0], 2);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = engine.core().cand_memo.write().expect("not yet poisoned");
+            panic!("query panicked while holding the memo lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(engine.core().cand_memo.is_poisoned());
         for q in &queries {
-            let a = gated.infer_routes(q, 3);
-            let b = eager.infer_routes(q, 3);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.route, y.route);
-                assert_eq!(x.log_score.to_bits(), y.log_score.to_bits());
-            }
+            let _ = engine.infer_query(q, 2);
+        }
+        let got = engine.infer_query(&queries[0], 2);
+        assert_eq!(got.globals.len(), want.globals.len());
+        for (a, b) in got.globals.iter().zip(&want.globals) {
+            assert_eq!(a.route, b.route);
+            assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
         }
     }
 
@@ -1778,10 +1627,10 @@ mod tests {
     fn degenerate_queries_match_hris() {
         let (net, _) = sparse_setup();
         let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        let engine = QueryEngine::new(&hris);
+        let engine = handle(&net, EngineConfig::default());
 
         let empty = Trajectory::new(TrajId(0), vec![]);
-        assert!(engine.infer_routes(&empty, 3).is_empty());
+        assert!(engine.infer_query(&empty, 3).globals.is_empty());
 
         let single = Trajectory::new(
             TrajId(0),
@@ -1790,7 +1639,7 @@ mod tests {
                 0.0,
             )],
         );
-        let ours = engine.infer_routes(&single, 3);
+        let ours = engine.infer_query(&single, 3).globals;
         let theirs = hris.infer_routes(&single, 3);
         assert_eq!(ours.len(), theirs.len());
         assert_eq!(ours[0].route, theirs[0].route);
@@ -1799,15 +1648,14 @@ mod tests {
     #[test]
     fn observability_off_by_default_and_on_when_asked() {
         let (net, queries) = sparse_setup();
-        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        let plain = QueryEngine::new(&hris);
+        let plain = handle(&net, EngineConfig::default());
         assert!(plain.observability().is_none());
 
-        let observed = QueryEngine::with_config(
-            &hris,
+        let observed = handle(
+            &net,
             EngineConfig::builder().observability(true).build().unwrap(),
         );
-        let _ = observed.infer_batch(&queries, 2);
+        let _ = observed.infer_batch_detailed(&queries, 2);
         let obs = observed.observability().expect("instrumentation on");
         let snap = obs.snapshot();
         assert_eq!(

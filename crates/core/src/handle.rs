@@ -1,14 +1,14 @@
-//! Owned, lifetime-free serving handle over epoch-versioned archives.
+//! The serving engine: an owned, lifetime-free handle over epoch-versioned
+//! archives.
 //!
-//! [`Hris`](crate::Hris)/[`QueryEngine`](crate::QueryEngine) borrow their
-//! road network (and, transitively, their archive) for their whole
-//! lifetime, which is the right shape for experiments but the wrong one for
-//! a service: a borrowed engine cannot be moved into a spawned thread, an
-//! async task, or a shard map, and it can never follow a live archive. The
-//! [`EngineHandle`] here is the owned counterpart — `Arc<RoadNetwork>` plus
-//! an archive *source* (a pinned [`ArchiveSnapshot`] or a live
-//! [`SnapshotReader`]) — so it is `Send + Sync + 'static` and clone-free to
-//! share behind an `Arc`.
+//! [`Hris`](crate::Hris) borrows its road network for its whole lifetime,
+//! which is the right shape for the paper-literal reference pipeline but
+//! the wrong one for a service: a borrowed engine cannot be moved into a
+//! spawned thread, an async task, or a shard map, and it can never follow a
+//! live archive. The [`EngineHandle`] here owns its data —
+//! `Arc<RoadNetwork>` plus an archive *source* (a pinned [`ArchiveSnapshot`]
+//! or a live [`SnapshotReader`]) — so it is `Send + Sync + 'static` and
+//! clone-free to share behind an `Arc`.
 //!
 //! # Epochs and caches
 //!
@@ -29,10 +29,8 @@
 use crate::engine::{
     EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryOutcome, QueryResult, RejectReason,
 };
-use crate::global::GlobalRoute;
-use crate::local::{LocalInferenceResult, LocalStats};
+use crate::local::LocalInferenceResult;
 use crate::params::{EngineConfig, HrisParams};
-use crate::pipeline::ScoredRoute;
 use hris_obs::{
     Admission, AdmissionGate, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState,
     SpanCollector,
@@ -61,10 +59,12 @@ enum ArchiveSource {
 ///
 /// # Which entrypoint should I call?
 ///
-/// As on [`QueryEngine`](crate::QueryEngine): [`EngineHandle::infer_query`]
-/// is the canonical single-query path, [`EngineHandle::infer_batch_detailed`]
-/// the canonical batch path; everything else is a thin wrapper that
-/// discards part of their output.
+/// [`EngineHandle::infer_query`] answers one query,
+/// [`EngineHandle::infer_batch_detailed`] a batch. A single query with at
+/// least eight point pairs fans its pairs out on the thread pool; a batch
+/// fans its queries out and runs each query's pairs in sequence. Either
+/// way the answer is byte-identical to the reference [`Hris`](crate::Hris)
+/// pipeline's for valid input.
 pub struct EngineHandle {
     net: Arc<RoadNetwork>,
     params: HrisParams,
@@ -326,21 +326,10 @@ impl EngineHandle {
     /// too it is shed immediately with
     /// [`RejectReason::Overloaded`](crate::RejectReason).
     ///
-    /// **This is the canonical single-query entrypoint.**
+    /// **This is the single-query entrypoint.**
     #[must_use]
     pub fn infer_query(&self, query: &hris_traj::Trajectory, k: usize) -> QueryResult {
-        let _permit = match self.gate.as_ref().map(AdmissionGate::admit) {
-            Some(Admission::Shed) => {
-                self.core
-                    .record_shed_audit(query.len(), self.core.mint_trace_id());
-                return self.shed_result(1);
-            }
-            Some(Admission::Admitted(p)) => Some(p),
-            None => None,
-        };
-        let snap = self.current_snapshot();
-        self.core
-            .infer_query_mode(self.ctx(&snap), query, k, self.config().mode)
+        self.infer_query_with_trace(query, k, self.core.mint_trace_id())
     }
 
     /// [`EngineHandle::infer_query`] under a caller-minted trace id — the
@@ -369,40 +358,7 @@ impl EngineHandle {
         };
         let snap = self.current_snapshot();
         self.core
-            .infer_query_traced(self.ctx(&snap), query, k, self.config().mode, trace_id)
-    }
-
-    /// Top-`k` routes of one query. Thin wrapper over
-    /// [`EngineHandle::infer_query`] that drops the outcome and statistics.
-    #[must_use]
-    pub fn infer_routes(&self, query: &hris_traj::Trajectory, k: usize) -> Vec<ScoredRoute> {
-        self.infer_query(query, k)
-            .globals
-            .into_iter()
-            .map(|g| ScoredRoute {
-                route: g.route,
-                log_score: g.log_score,
-            })
-            .collect()
-    }
-
-    /// The most likely single route. Thin wrapper over
-    /// [`EngineHandle::infer_query`] with `k = 1`.
-    #[must_use]
-    pub fn infer_top1(&self, query: &hris_traj::Trajectory) -> Option<ScoredRoute> {
-        self.infer_routes(query, 1).into_iter().next()
-    }
-
-    /// Full inference in the historical tuple shape. Thin wrapper over
-    /// [`EngineHandle::infer_query`] that drops the outcome.
-    #[must_use]
-    pub fn infer_routes_detailed(
-        &self,
-        query: &hris_traj::Trajectory,
-        k: usize,
-    ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
-        let r = self.infer_query(query, k);
-        (r.globals, r.stats)
+            .infer_query_traced(self.ctx(&snap), query, k, true, trace_id)
     }
 
     /// Every query of a batch against **one** epoch: the snapshot is read
@@ -413,7 +369,7 @@ impl EngineHandle {
     /// permit — a batch is admitted or shed as a unit, never half-shed
     /// (a shed returns one `Rejected{Overloaded}` result per query).
     ///
-    /// **This is the canonical batch entrypoint.**
+    /// **This is the batch entrypoint.**
     #[must_use]
     pub fn infer_batch_detailed(
         &self,
@@ -438,82 +394,21 @@ impl EngineHandle {
         self.core.infer_batch_detailed(self.ctx(&snap), queries, k)
     }
 
-    /// Top-`k` routes for every query of a batch. Thin wrapper over
-    /// [`EngineHandle::infer_batch_detailed`].
-    #[must_use]
-    pub fn infer_batch(
-        &self,
-        queries: &[hris_traj::Trajectory],
-        k: usize,
-    ) -> Vec<Vec<ScoredRoute>> {
-        self.infer_batch_detailed(queries, k)
-            .into_iter()
-            .map(|r| {
-                r.globals
-                    .into_iter()
-                    .map(|g| ScoredRoute {
-                        route: g.route,
-                        log_score: g.log_score,
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Phases 1–2 against the current epoch (phase 3 input).
-    #[must_use]
-    pub fn local_inference(&self, query: &hris_traj::Trajectory) -> Vec<LocalInferenceResult> {
-        self.local_inference_pinned(query).0
-    }
-
-    /// Phases 1–2 plus the epoch they were answered against. The snapshot
-    /// is pinned **once** for the whole call, so the returned locals are
-    /// mutually consistent even while ingestion publishes concurrently —
-    /// this is the entrypoint a scatter-gather router uses, and the epoch
-    /// is its proof of snapshot isolation (one whole epoch per shard per
-    /// query).
+    /// Phases 1–2 of several sub-queries against **one** pinned snapshot,
+    /// plus the epoch they were answered against — the entrypoint of a
+    /// scatter-gather router. A router whose query revisits a shard (an
+    /// A–B–A pair assignment) calls this once per shard, so every sub-query
+    /// of one routed query observes the same epoch even while ingestion
+    /// publishes concurrently; the epoch is its proof of snapshot isolation.
+    ///
+    /// Under a router-owned span collector (`spans` = collector + the
+    /// router's per-shard span id), each sub-query's `"candidates"` and
+    /// `"local"` phase spans (plus per-pair children) are recorded into the
+    /// router's collector, so one cross-shard query stitches into a single
+    /// tree with one clock origin. `spans = None` is byte-identical to the
+    /// traced call.
     #[must_use]
     pub fn local_inference_pinned(
-        &self,
-        query: &hris_traj::Trajectory,
-    ) -> (Vec<LocalInferenceResult>, u64) {
-        let snap = self.current_snapshot();
-        let locals = self
-            .core
-            .local_inference_run(
-                self.ctx(&snap),
-                query,
-                self.config().mode,
-                None,
-                false,
-                None,
-            )
-            .locals;
-        (locals, snap.epoch())
-    }
-
-    /// [`EngineHandle::local_inference_pinned`] for several sub-queries
-    /// against **one** pinned snapshot. A scatter-gather router whose query
-    /// revisits a shard (an A–B–A pair assignment) calls this once per
-    /// shard, so every sub-query of one routed query observes the same
-    /// epoch even while ingestion publishes concurrently.
-    #[must_use]
-    pub fn local_inference_pinned_batch(
-        &self,
-        queries: &[hris_traj::Trajectory],
-    ) -> (Vec<Vec<LocalInferenceResult>>, u64) {
-        self.local_inference_pinned_batch_traced(queries, None)
-    }
-
-    /// [`EngineHandle::local_inference_pinned_batch`] under a router-owned
-    /// span collector: each sub-query's `"candidates"` and `"local"` phase
-    /// spans (plus per-pair children) are recorded into the router's
-    /// collector, parented on the given span id (the router's per-shard
-    /// span), so one cross-shard query stitches into a single tree with
-    /// one clock origin. `spans = None` is byte-identical to the untraced
-    /// batch.
-    #[must_use]
-    pub fn local_inference_pinned_batch_traced(
         &self,
         queries: &[hris_traj::Trajectory],
         spans: Option<(&SpanCollector, u64)>,
@@ -523,7 +418,7 @@ impl EngineHandle {
             .iter()
             .map(|q| {
                 self.core
-                    .local_inference_run(self.ctx(&snap), q, self.config().mode, None, false, spans)
+                    .local_inference_run(self.ctx(&snap), q, true, None, false, spans)
                     .locals
             })
             .collect();
@@ -658,6 +553,11 @@ impl EngineHandle {
             params: &self.params,
         }
     }
+
+    #[cfg(test)]
+    pub(crate) fn core(&self) -> &EngineCore {
+        &self.core
+    }
 }
 
 #[cfg(test)]
@@ -691,29 +591,92 @@ mod tests {
         assert_owned::<Arc<EngineHandle>>();
     }
 
+    fn assert_identical(kind: &str, got: &[crate::GlobalRoute], want: &[crate::GlobalRoute]) {
+        assert_eq!(got.len(), want.len(), "{kind}: route count");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.route, b.route, "{kind}: route {i}");
+            assert_eq!(
+                a.log_score.to_bits(),
+                b.log_score.to_bits(),
+                "{kind}: score bits {i}"
+            );
+            assert_eq!(a.local_indices, b.local_indices, "{kind}: indices {i}");
+        }
+    }
+
     #[test]
-    fn handle_matches_borrowed_engine() {
+    fn handle_matches_hris() {
         let net = net();
         let hris = crate::Hris::new(
             &net,
             TrajectoryArchive::empty(),
             crate::HrisParams::default(),
         );
-        let engine = crate::QueryEngine::new(&hris);
         let handle = EngineHandle::new(
             Arc::clone(&net),
             TrajectoryArchive::empty(),
             crate::HrisParams::default(),
         );
         let q = query(0.0);
-        let borrowed = engine.infer_query(&q, 2);
+        let (want, stats) = hris.infer_routes_detailed(&q, 2);
         let owned = handle.infer_query(&q, 2);
-        assert_eq!(borrowed.globals.len(), owned.globals.len());
-        for (a, b) in borrowed.globals.iter().zip(&owned.globals) {
-            assert_eq!(a.route, b.route);
-            assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
+        assert_identical("handle", &owned.globals, &want);
+        assert_eq!(owned.stats.len(), stats.len());
+        assert_eq!(owned.outcome, QueryOutcome::Ok);
+    }
+
+    /// A query long enough to fan its pairs out: the fanned-out single
+    /// query, the same query inside a batch (pairs in sequence) and the
+    /// reference pipeline agree to the bit.
+    #[test]
+    fn fanned_out_query_matches_batch_and_hris() {
+        use crate::engine::PAIR_FANOUT_MIN_PAIRS;
+        use hris_traj::{resample_to_interval, SimConfig, Simulator};
+        let net = Arc::new(generator::generate(&NetworkConfig::small(8)));
+        let mut sim = Simulator::new(
+            &net,
+            SimConfig {
+                num_trips: 250,
+                num_od_patterns: 10,
+                min_trip_dist_m: 800.0,
+                seed: 13,
+                ..SimConfig::default()
+            },
+        );
+        let (archive, routes) = sim.generate_archive();
+        let longest = routes
+            .iter()
+            .max_by(|a, b| a.length(&net).total_cmp(&b.length(&net)))
+            .unwrap();
+        let pts = hris_traj::simulator::drive_route(&net, longest, 0.0, 20.0, 0.8).unwrap();
+        // Ten pairs over the whole drive.
+        let interval = (pts[pts.len() - 1].t - pts[0].t) / 10.0;
+        let long = resample_to_interval(&Trajectory::new(TrajId(0), pts), interval);
+        assert!(
+            long.len() > PAIR_FANOUT_MIN_PAIRS,
+            "the query must fan out: {} points",
+            long.len()
+        );
+        let hris = crate::Hris::new(&net, archive.clone(), crate::HrisParams::default());
+        let handle = EngineHandle::new(Arc::clone(&net), archive, crate::HrisParams::default());
+        let k = 3;
+        let (want, want_stats) = hris.infer_routes_detailed(&long, k);
+        assert!(!want.is_empty());
+        let single = handle.infer_query(&long, k);
+        assert_identical("fanned-out query", &single.globals, &want);
+        assert_eq!(single.stats.len(), want_stats.len());
+        let batch = handle.infer_batch_detailed(&[query(0.0), long.clone()], k);
+        assert_identical("batch member", &batch[1].globals, &want);
+        assert_eq!(batch[1].stats.len(), want_stats.len());
+        // The router's entry point fans out too and hands back the same
+        // local inference as the reference pipeline.
+        let (locals, epoch) = handle.local_inference_pinned(std::slice::from_ref(&long), None);
+        assert_eq!(epoch, 0);
+        let reference = hris.local_inference(&long);
+        assert_eq!(locals[0].len(), reference.len());
+        for (a, b) in locals[0].iter().zip(&reference) {
+            assert_eq!(a.routes, b.routes);
         }
-        assert_eq!(borrowed.outcome, owned.outcome);
     }
 
     #[test]
@@ -724,10 +687,13 @@ mod tests {
             crate::HrisParams::default(),
         ));
         let h = Arc::clone(&handle);
-        let out = std::thread::spawn(move || h.infer_routes(&query(0.0), 1))
+        let out = std::thread::spawn(move || h.infer_query(&query(0.0), 1))
             .join()
             .expect("worker thread");
-        assert_eq!(out.len(), handle.infer_routes(&query(0.0), 1).len());
+        assert_eq!(
+            out.globals.len(),
+            handle.infer_query(&query(0.0), 1).globals.len()
+        );
     }
 
     #[test]
@@ -741,11 +707,11 @@ mod tests {
             EngineConfig::default(),
         );
         assert_eq!(handle.epoch(), 0);
-        let before = handle.infer_routes(&query(0.0), 1);
+        let before = handle.infer_query(&query(0.0), 1).globals;
 
         writer.append(query(0.0)).unwrap();
         writer.publish();
-        let _ = handle.infer_routes(&query(0.0), 1);
+        let _ = handle.infer_query(&query(0.0), 1);
         assert_eq!(handle.epoch(), 1);
         assert_eq!(handle.current_snapshot().num_trajectories(), 1);
         assert!(!before.is_empty());
@@ -764,7 +730,7 @@ mod tests {
         );
         writer.append(query(0.0)).unwrap();
         writer.publish();
-        let _ = handle.infer_routes(&query(0.0), 1);
+        let _ = handle.infer_query(&query(0.0), 1);
         assert_eq!(handle.epoch(), 0);
         assert_eq!(handle.current_snapshot().num_trajectories(), 0);
     }

@@ -48,19 +48,14 @@ pub mod scoring;
 mod scratch;
 
 pub use audit::{QueryAudit, RouteExplanation};
-pub use engine::{
-    EngineCacheStats, EngineObs, QueryEngine, QueryOutcome, QueryResult, RejectReason,
-};
+pub use engine::{EngineCacheStats, EngineObs, QueryOutcome, QueryResult, RejectReason};
 pub use freespace::{infer_polyline, FreespaceParams};
 pub use global::GlobalRoute;
-#[allow(deprecated)] // legacy shims stay importable from the crate root
-pub use global::{brute_force_top_k, brute_force_top_k_with, k_gri, k_gri_with};
 pub use handle::EngineHandle;
 pub use local::{LocalInferenceResult, LocalRoute};
 pub use params::{
-    AdmissionOptions, ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, ExplainOptions,
-    HrisParams, HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel, RerankOptions,
-    ValidationOptions,
+    AdmissionOptions, ConfigError, EngineConfig, EngineConfigBuilder, ExplainOptions, HrisParams,
+    HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel, RerankOptions, ValidationOptions,
 };
 pub use pipeline::{Hris, HrisMatcher, ScoredRoute};
 pub use reference::{search_references, RefKind, RefTrajectory, ReferenceSet};
@@ -81,8 +76,8 @@ pub use hris_obs::{
 /// use hris::prelude::*;
 /// ```
 ///
-/// Re-exports the serving surface (owned [`EngineHandle`], borrowed
-/// [`Hris`]/[`QueryEngine`]), the result types ([`QueryResult`],
+/// Re-exports the serving surface (the owned [`EngineHandle`] and the
+/// borrowed reference pipeline [`Hris`]), the result types ([`QueryResult`],
 /// [`QueryOutcome`], [`ScoredRoute`], [`GlobalRoute`]), the configuration
 /// types ([`HrisParams`], [`EngineConfig`] and its builder) and the live
 /// ingestion types from [`hris_traj`] ([`ArchiveSnapshot`],
@@ -91,14 +86,12 @@ pub use hris_obs::{
 /// [`ArchiveSnapshot`]: hris_traj::ArchiveSnapshot
 /// [`ArchiveWriter`]: hris_traj::ArchiveWriter
 pub mod prelude {
-    pub use crate::engine::{
-        EngineCacheStats, EngineObs, QueryEngine, QueryOutcome, QueryResult, RejectReason,
-    };
+    pub use crate::engine::{EngineCacheStats, EngineObs, QueryOutcome, QueryResult, RejectReason};
     pub use crate::global::GlobalRoute;
     pub use crate::handle::EngineHandle;
     pub use crate::params::{
-        ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, HrisParams, ObsOptions,
-        RerankOptions, ValidationOptions,
+        ConfigError, EngineConfig, EngineConfigBuilder, HrisParams, ObsOptions, RerankOptions,
+        ValidationOptions,
     };
     pub use crate::pipeline::{Hris, HrisMatcher, ScoredRoute};
     pub use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};

@@ -40,10 +40,11 @@ pub struct ScoredRoute {
 /// [`Hris::infer_routes_detailed`]; [`Hris::infer_routes`] and
 /// [`Hris::infer_top1`] are thin projections of its output, so new code that
 /// needs anything beyond the plain top-K list should call the detailed
-/// entrypoint directly. For serving (caching, validation, observability, live
-/// archives) wrap it in a [`QueryEngine`](crate::engine::QueryEngine) or use
-/// the owned [`EngineHandle`](crate::handle::EngineHandle), whose canonical
-/// entrypoint is `infer_query`.
+/// entrypoint directly. `Hris` is the paper-literal reference the serving
+/// engine is tested against: for serving (caching, validation,
+/// observability, live archives) use the owned
+/// [`EngineHandle`](crate::handle::EngineHandle), whose entrypoints are
+/// `infer_query` and `infer_batch_detailed`.
 pub struct Hris<'a> {
     net: &'a RoadNetwork,
     archive: TrajectoryArchive,
@@ -177,7 +178,9 @@ impl<'a> Hris<'a> {
                             .sp_oracle()
                             .route_between(a, b, CostModel::Distance)
                     },
+                    false,
                 )
+                .0
             })
             .collect()
     }
@@ -228,64 +231,20 @@ pub(crate) fn degenerate_local(net: &RoadNetwork, query: &Trajectory) -> Degener
 
 /// Phases 1–2 for one consecutive query-point pair: reference search, local
 /// route inference and the data-sparseness shortest-path fallback (routed
-/// through `sp_fallback` so callers can interpose a cache).
-///
-/// This is the unit of work the [`engine::QueryEngine`](crate::engine)
-/// parallelises: it only reads shared state, so pairs can run in any order —
-/// or concurrently — without changing any result.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn infer_pair(
-    net: &RoadNetwork,
-    archive: &TrajectoryArchive,
-    params: &HrisParams,
-    qi: GpsPoint,
-    qj: GpsPoint,
-    qi_cands: &[CandidateEdge],
-    qj_cands: &[CandidateEdge],
-    sp_fallback: &dyn Fn(SegmentId, SegmentId) -> Option<Route>,
-) -> LocalInferenceResult {
-    let dt = (qj.t - qi.t).max(1.0);
-    let ref_cfg = crate::reference::RefSearchConfig {
-        phi: params.phi_m,
-        splice_eps: params.splice_eps_m,
-        splice_when_simple_below: params.splice_when_simple_below,
-        max_refs: params.max_refs_per_pair,
-        temporal: params.temporal_tolerance_s.map(|tol| (qi.t, tol)),
-    };
-    let refs = search_references(archive, qi.pos, qj.pos, dt, net.max_speed(), &ref_cfg);
-
-    let mut result = if refs.is_empty() || qi_cands.is_empty() || qj_cands.is_empty() {
-        LocalInferenceResult {
-            routes: Vec::new(),
-            edge_index: RefEdgeIndex::default(),
-            refs,
-            stats: LocalStats::default(),
-        }
-    } else {
-        infer_local_routes(net, refs, qi_cands, qj_cands, params)
-    };
-
-    if result.routes.is_empty() {
-        // Data sparseness fallback: shortest path between the best
-        // candidate edges.
-        if let (Some(a), Some(b)) = (qi_cands.first(), qj_cands.first()) {
-            if let Some(r) = sp_fallback(a.segment, b.segment) {
-                result.routes.push(r);
-            }
-        }
-    }
-    result
-}
-
-/// [`infer_pair`] with the full degradation chain for repaired queries:
-/// when the configured local algorithm yields nothing, retry the pair with
-/// TGI forced, then NNI forced, then the shortest-path fallback. Returns
+/// through `sp_fallback` so the engine can count its lookups). Returns
 /// whether any step beyond the primary inference was needed.
 ///
-/// Only the engine's *repair path* calls this — valid queries keep the
-/// plain [`infer_pair`] behaviour so their outputs cannot move a byte.
+/// With `algorithm_fallback` set — only the engine's repair path sets it —
+/// a pair whose configured algorithm yields nothing is retried with TGI
+/// forced, then NNI forced, before the shortest-path fallback. Without it
+/// the primary inference is followed directly by the shortest-path
+/// fallback, so valid queries cannot move a byte.
+///
+/// This is the unit of work the [`EngineHandle`](crate::handle::EngineHandle)
+/// fans out: it only reads shared state, so pairs can run in any order — or
+/// concurrently — without changing any result.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn infer_pair_chain(
+pub(crate) fn infer_pair(
     net: &RoadNetwork,
     archive: &TrajectoryArchive,
     params: &HrisParams,
@@ -308,12 +267,12 @@ pub(crate) fn infer_pair_chain(
     let usable = !refs.is_empty() && !qi_cands.is_empty() && !qj_cands.is_empty();
 
     let mut result = if usable {
-        infer_local_routes(net, refs.clone(), qi_cands, qj_cands, params)
+        infer_local_routes(net, refs, qi_cands, qj_cands, params)
     } else {
         LocalInferenceResult {
             routes: Vec::new(),
             edge_index: RefEdgeIndex::default(),
-            refs: refs.clone(),
+            refs,
             stats: LocalStats::default(),
         }
     };
@@ -326,7 +285,8 @@ pub(crate) fn infer_pair_chain(
         ] {
             let mut forced = params.clone();
             forced.local_algorithm = alg;
-            let retry = infer_local_routes(net, refs.clone(), qi_cands, qj_cands, &forced);
+            // Local inference hands its references back untouched.
+            let retry = infer_local_routes(net, result.refs.clone(), qi_cands, qj_cands, &forced);
             if !retry.routes.is_empty() {
                 result = retry;
                 fell_back = true;
@@ -336,6 +296,8 @@ pub(crate) fn infer_pair_chain(
     }
 
     if result.routes.is_empty() {
+        // Data sparseness fallback: shortest path between the best
+        // candidate edges.
         if let (Some(a), Some(b)) = (qi_cands.first(), qj_cands.first()) {
             if let Some(r) = sp_fallback(a.segment, b.segment) {
                 result.routes.push(r);

@@ -6,8 +6,8 @@
 //! that scoring behind a trait so callers — the engine, the sharded
 //! router's seam splice, the eval harness — all go through one seam:
 //!
-//! - [`PaperScorer`] reproduces the legacy free functions (`k_gri_with`,
-//!   `brute_force_top_k_with`) bit for bit; it *is* the paper.
+//! - [`PaperScorer`] runs the paper's K-GRI dynamic program (and its
+//!   brute-force oracle); it *is* the paper.
 //! - [`LearnedScorer`] wraps a [`PaperScorer`] and re-ranks its top-K
 //!   output with a plain-SGD logistic model ([`RerankModel`]) over
 //!   per-candidate-route features ([`RouteFeatures`]) — route shape, how
@@ -74,12 +74,11 @@ pub trait RouteScorer {
 
 /// The paper's scoring, exactly: popularity `f` (Equation 1) and
 /// transition confidence `g` (Equation 2) threaded by the K-GRI dynamic
-/// program (Algorithm 3). Byte-identical to the legacy `k_gri_with` free
-/// function.
+/// program (Algorithm 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperScorer {
     /// Entropy floor keeping single-segment routes rankable (see
-    /// [`crate::global::popularity`]).
+    /// [`crate::local::route_popularity`]).
     pub entropy_floor: f64,
     /// Which form of Equation 1 scores local-route popularity.
     pub model: PopularityModel,

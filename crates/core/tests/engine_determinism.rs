@@ -1,10 +1,12 @@
 //! The engine's core invariant: scheduling and caching never change any
-//! inferred route or score. Every execution mode must return results
-//! byte-identical to the plain sequential [`Hris`] pipeline.
+//! inferred route or score. Single queries, batches and instrumented runs
+//! of the [`EngineHandle`] must return results byte-identical to the plain
+//! sequential [`Hris`] pipeline.
 
-use hris::{EngineConfig, ExecMode, Hris, HrisParams, QueryEngine, ScoredRoute};
+use hris::{EngineConfig, EngineHandle, GlobalRoute, Hris, HrisParams, ScoredRoute};
 use hris_roadnet::{generator, NetworkConfig};
 use hris_traj::{resample_to_interval, SimConfig, Simulator, TrajId, Trajectory};
+use std::sync::Arc;
 
 /// A seeded scenario with enough archive data that queries exercise both the
 /// reference-driven path and the shortest-path fallback.
@@ -38,6 +40,28 @@ fn scenario() -> (hris_roadnet::RoadNetwork, Hris<'static>, Vec<Trajectory>) {
     (net.clone(), hris, queries)
 }
 
+/// The serving engine over the same network (a clone keeps the network's
+/// identity, so the archive's projection rows still apply), archive and
+/// parameters as `hris`.
+fn serving(hris: &Hris<'_>, cfg: EngineConfig) -> EngineHandle {
+    EngineHandle::with_config(
+        Arc::new(hris.network().clone()),
+        hris.archive().clone(),
+        hris.params().clone(),
+        cfg,
+    )
+}
+
+fn scored(globals: Vec<GlobalRoute>) -> Vec<ScoredRoute> {
+    globals
+        .into_iter()
+        .map(|g| ScoredRoute {
+            route: g.route,
+            log_score: g.log_score,
+        })
+        .collect()
+}
+
 fn assert_same(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
     assert_eq!(a.len(), b.len(), "{kind}: route count differs");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -52,31 +76,28 @@ fn assert_same(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
 }
 
 #[test]
-fn all_execution_modes_match_sequential_hris() {
+fn single_queries_and_batches_match_sequential_hris() {
     let (_net, hris, queries) = scenario();
     let k = 3;
 
     let baseline: Vec<Vec<ScoredRoute>> = queries.iter().map(|q| hris.infer_routes(q, k)).collect();
 
-    // Engine in pure-sequential, cache-free mode.
-    let seq = QueryEngine::with_config(&hris, EngineConfig::sequential());
+    // One query at a time.
+    let single = serving(&hris, EngineConfig::default());
     for (q, want) in queries.iter().zip(&baseline) {
-        assert_same("sequential engine", &seq.infer_routes(q, k), want);
+        assert_same(
+            "single query",
+            &scored(single.infer_query(q, k).globals),
+            want,
+        );
     }
 
-    // Pair-parallel with both caches.
-    let par = QueryEngine::new(&hris);
-    assert_eq!(par.config().mode, ExecMode::PairParallel);
-    for (q, want) in queries.iter().zip(&baseline) {
-        assert_same("pair-parallel engine", &par.infer_routes(q, k), want);
-    }
-
-    // Batch fan-out over the same shared caches.
-    let batch = QueryEngine::new(&hris);
-    let got = batch.infer_batch(&queries, k);
+    // Batch fan-out over a fresh memo.
+    let batch = serving(&hris, EngineConfig::default());
+    let got = batch.infer_batch_detailed(&queries, k);
     assert_eq!(got.len(), baseline.len());
-    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-        assert_same(&format!("batch query {i}"), g, want);
+    for (i, (g, want)) in got.into_iter().zip(&baseline).enumerate() {
+        assert_same(&format!("batch query {i}"), &scored(g.globals), want);
     }
 
     // The duplicated query plus shared positions must have produced real
@@ -88,115 +109,62 @@ fn all_execution_modes_match_sequential_hris() {
     );
 }
 
-/// S1 — determinism under cache pressure: a shortest-path cache so small it
-/// evicts on nearly every insert, plus a candidate memo flooded by every
-/// distinct query position, must still return routes byte-identical to the
-/// cache-free sequential engine. Eviction changes only *when* work is
-/// recomputed, never what it computes.
+/// S1 — determinism under a saturated memo: a second pass served almost
+/// entirely from the candidate memo, with and without instrumentation,
+/// must still return routes byte-identical to the sequential [`Hris`]
+/// pipeline. Memoisation changes only *when* work is done, never what it
+/// computes.
 #[test]
-fn cache_pressure_does_not_change_results() {
+fn saturated_memo_does_not_change_results() {
     let (_net, hris, queries) = scenario();
     let k = 3;
 
-    let uncached = QueryEngine::with_config(&hris, EngineConfig::sequential());
-    let baseline: Vec<Vec<ScoredRoute>> = queries
-        .iter()
-        .map(|q| uncached.infer_routes(q, k))
-        .collect();
+    let baseline: Vec<Vec<ScoredRoute>> = queries.iter().map(|q| hris.infer_routes(q, k)).collect();
 
-    // Capacity 1: each of the cache's shards holds a single entry, so the
-    // workload thrashes it (every reuse across a different pair evicts).
-    let pressured = QueryEngine::with_config(
-        &hris,
-        EngineConfig {
-            sp_cache_capacity: 1,
-            ..EngineConfig::default()
-        },
-    );
+    let warm = serving(&hris, EngineConfig::default());
     // Two passes: the second runs against a memo already saturated with
     // every position of the workload, so it is served almost entirely from
     // cache — and must still match.
     for pass in 0..2 {
-        let got = pressured.infer_batch(&queries, k);
-        for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-            assert_same(&format!("pressured pass {pass} query {i}"), g, want);
+        let got = warm.infer_batch_detailed(&queries, k);
+        for (i, (g, want)) in got.into_iter().zip(&baseline).enumerate() {
+            assert_same(
+                &format!("warm pass {pass} query {i}"),
+                &scored(g.globals),
+                want,
+            );
         }
     }
-    let stats = pressured.cache_stats();
+    let stats = warm.cache_stats();
     assert!(
         stats.candidate_hits > 0,
         "pass 2 must hit the saturated memo, got {stats:?}"
     );
 
-    // The dense archive above rarely needs the shortest-path fallback, so
-    // pressure the SP cache separately: an empty archive routes *every* pair
-    // through it. Capacity 1 per shard → constant eviction; results must
-    // still match the cache-free engine.
-    let net2: &'static _ = Box::leak(Box::new(generator::generate(&NetworkConfig::small(5))));
-    let empty = Hris::new(
-        net2,
-        hris_traj::TrajectoryArchive::empty(),
-        HrisParams::default(),
-    );
-    let uncached2 = QueryEngine::with_config(&empty, EngineConfig::sequential());
-    let sp_pressured = QueryEngine::with_config(
-        &empty,
-        EngineConfig {
-            sp_cache_capacity: 1,
-            ..EngineConfig::default()
-        },
-    );
-    let want2: Vec<Vec<ScoredRoute>> = queries
-        .iter()
-        .map(|q| uncached2.infer_routes(q, k))
-        .collect();
-    for pass in 0..2 {
-        let got = sp_pressured.infer_batch(&queries, k);
-        for (i, (g, w)) in got.iter().zip(&want2).enumerate() {
-            assert_same(&format!("sp-pressured pass {pass} query {i}"), g, w);
-        }
-    }
-    // The SP fallback now runs through the network-level shortest-path
-    // oracle; the baseline engine already warmed its trees, so the
-    // pressured engine's demoted route cache may legitimately see zero
-    // traffic. The oracle's own counters prove the fallback ran.
-    let oracle2 = net2.sp_oracle();
-    assert!(
-        oracle2.hits() + oracle2.misses() > 0,
-        "empty archive must exercise the SP fallback, got {}/{}",
-        oracle2.hits(),
-        oracle2.misses()
-    );
-
-    // Same pressure with full instrumentation and tracing on: metrics must
+    // Same workload with full instrumentation and tracing on: metrics must
     // not move a byte either.
-    let observed = QueryEngine::with_config(
+    let observed = serving(
         &hris,
-        EngineConfig::builder()
-            .sp_cache_capacity(1)
-            .observability(true)
-            .build()
-            .unwrap(),
+        EngineConfig::builder().observability(true).build().unwrap(),
     );
-    let got = observed.infer_batch(&queries, k);
-    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-        assert_same(&format!("observed pressured query {i}"), g, want);
+    let got = observed.infer_batch_detailed(&queries, k);
+    for (i, (g, want)) in got.into_iter().zip(&baseline).enumerate() {
+        assert_same(&format!("observed query {i}"), &scored(g.globals), want);
     }
 
     // Span capture at 1-in-1 (every query carries a live span tree) is the
     // heaviest instrumentation the engine has; still not a byte of drift.
-    let spanned = QueryEngine::with_config(
+    let spanned = serving(
         &hris,
         EngineConfig::builder()
-            .sp_cache_capacity(1)
             .observability(true)
             .span_sampling(1)
             .build()
             .unwrap(),
     );
-    let got = spanned.infer_batch(&queries, k);
-    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-        assert_same(&format!("spanned pressured query {i}"), g, want);
+    let got = spanned.infer_batch_detailed(&queries, k);
+    for (i, (g, want)) in got.into_iter().zip(&baseline).enumerate() {
+        assert_same(&format!("spanned query {i}"), &scored(g.globals), want);
     }
     let obs = spanned.observability().unwrap();
     assert!(
@@ -206,19 +174,19 @@ fn cache_pressure_does_not_change_results() {
 }
 
 #[test]
-fn detailed_outputs_match_across_modes() {
+fn detailed_outputs_match_hris() {
     let (_net, hris, queries) = scenario();
     let k = 2;
-    let engine = QueryEngine::new(&hris);
+    let engine = serving(&hris, EngineConfig::default());
     for q in &queries {
         let (g_hris, s_hris) = hris.infer_routes_detailed(q, k);
-        let (g_eng, s_eng) = engine.infer_routes_detailed(q, k);
-        assert_eq!(g_hris.len(), g_eng.len());
-        for (a, b) in g_hris.iter().zip(&g_eng) {
+        let r = engine.infer_query(q, k);
+        assert_eq!(g_hris.len(), r.globals.len());
+        for (a, b) in g_hris.iter().zip(&r.globals) {
             assert_eq!(a.route, b.route);
             assert!(a.log_score == b.log_score);
             assert_eq!(a.local_indices, b.local_indices);
         }
-        assert_eq!(s_hris.len(), s_eng.len());
+        assert_eq!(s_hris.len(), r.stats.len());
     }
 }

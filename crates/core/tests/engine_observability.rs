@@ -2,10 +2,10 @@
 //! accounting must be exact where the workload is deterministic (counts,
 //! cache tallies) and internally consistent where it is not (wall times).
 
-use hris::{EngineConfig, ExecMode, Hris, HrisParams, ObsOptions, QueryEngine};
+use hris::{EngineConfig, EngineHandle, Hris, HrisParams, ObsOptions};
 use hris_obs::MetricsRegistry;
 use hris_roadnet::{generator, NetworkConfig};
-use hris_traj::{resample_to_interval, SimConfig, Simulator, TrajId, Trajectory};
+use hris_traj::{resample_to_interval, ArchiveSnapshot, SimConfig, Simulator, TrajId, Trajectory};
 use std::sync::Arc;
 
 fn scenario() -> (Hris<'static>, Vec<Trajectory>) {
@@ -32,16 +32,27 @@ fn scenario() -> (Hris<'static>, Vec<Trajectory>) {
     (Hris::new(net, archive, HrisParams::default()), queries)
 }
 
+/// The serving engine over `hris`'s network (cloned, identity kept),
+/// archive and parameters.
+fn serving(hris: &Hris<'_>, cfg: EngineConfig) -> EngineHandle {
+    EngineHandle::with_config(
+        Arc::new(hris.network().clone()),
+        hris.archive().clone(),
+        hris.params().clone(),
+        cfg,
+    )
+}
+
 #[test]
 fn query_and_batch_counters_are_exact() {
     let (hris, queries) = scenario();
-    let engine = QueryEngine::with_config(
+    let engine = serving(
         &hris,
         EngineConfig::builder().observability(true).build().unwrap(),
     );
-    let _ = engine.infer_batch(&queries, 2);
-    let _ = engine.infer_batch(&queries, 2);
-    let _ = engine.infer_routes(&queries[0], 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
+    let _ = engine.infer_query(&queries[0], 2);
 
     let snap = engine.observability().unwrap().snapshot();
     let served = (2 * queries.len() + 1) as u64;
@@ -64,7 +75,7 @@ fn query_and_batch_counters_are_exact() {
 #[test]
 fn sp_oracle_metrics_are_registered_and_live() {
     let (hris, queries) = scenario();
-    let engine = QueryEngine::with_config(
+    let engine = serving(
         &hris,
         EngineConfig::builder().observability(true).build().unwrap(),
     );
@@ -79,8 +90,8 @@ fn sp_oracle_metrics_are_registered_and_live() {
 
     // The registered pair is live: oracle traffic moves the exported
     // counters without re-registration.
-    let _ = engine.infer_batch(&queries, 2);
-    let oracle = hris.network().sp_oracle();
+    let _ = engine.infer_batch_detailed(&queries, 2);
+    let oracle = engine.network().sp_oracle();
     let snap = engine.observability().unwrap().snapshot();
     assert_eq!(
         snap.counter("hris_sp_oracle_hits_total"),
@@ -95,11 +106,11 @@ fn sp_oracle_metrics_are_registered_and_live() {
 #[test]
 fn traces_attribute_cache_traffic_exactly() {
     let (hris, queries) = scenario();
-    let engine = QueryEngine::with_config(
+    let engine = serving(
         &hris,
         EngineConfig::builder().observability(true).build().unwrap(),
     );
-    let _ = engine.infer_batch(&queries, 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
 
     let obs = engine.observability().unwrap();
     let traces = obs.traces();
@@ -155,8 +166,8 @@ fn slow_query_threshold_flags_and_counts() {
         },
         ..EngineConfig::default()
     };
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let _ = engine.infer_batch(&queries, 2);
+    let engine = serving(&hris, cfg);
+    let _ = engine.infer_batch_detailed(&queries, 2);
     let obs = engine.observability().unwrap();
     assert!(obs.traces().iter().all(|t| t.slow));
     assert_eq!(
@@ -175,17 +186,18 @@ fn trace_ring_evicts_oldest_and_counts_drops() {
             trace_capacity: 2,
             ..ObsOptions::default()
         },
-        mode: ExecMode::Sequential,
-        batch_parallel: false,
         ..EngineConfig::default()
     };
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let _ = engine.infer_batch(&queries, 2); // 3 queries into a 2-slot ring
+    let engine = serving(&hris, cfg);
+    // 3 queries, one after another, into a 2-slot ring.
+    for q in &queries {
+        let _ = engine.infer_query(q, 2);
+    }
     let obs = engine.observability().unwrap();
     let traces = obs.traces();
     assert_eq!(traces.len(), 2);
     assert_eq!(obs.dropped_traces(), 1);
-    // Sequential batch → the two *newest* queries survive.
+    // Sequential queries → the two *newest* survive.
     assert_eq!(traces[0].query_id, 1);
     assert_eq!(traces[1].query_id, 2);
     assert_eq!(
@@ -212,8 +224,8 @@ fn zero_trace_capacity_keeps_aggregates_only() {
         },
         ..EngineConfig::default()
     };
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let _ = engine.infer_batch(&queries, 2);
+    let engine = serving(&hris, cfg);
+    let _ = engine.infer_batch_detailed(&queries, 2);
     let obs = engine.observability().unwrap();
     assert!(obs.traces().is_empty());
     assert_eq!(
@@ -233,8 +245,8 @@ fn sampled_queries_carry_complete_span_trees() {
         .slow_query_threshold_s(1e-12)
         .build()
         .unwrap();
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let _ = engine.infer_batch(&queries, 2);
+    let engine = serving(&hris, cfg);
+    let _ = engine.infer_batch_detailed(&queries, 2);
 
     let obs = engine.observability().unwrap();
     let traces = obs.traces();
@@ -313,8 +325,8 @@ fn slow_unsampled_queries_get_synthetic_trees() {
         .slow_query_threshold_s(1e-12)
         .build()
         .unwrap();
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let _ = engine.infer_batch(&queries, 2);
+    let engine = serving(&hris, cfg);
+    let _ = engine.infer_batch_detailed(&queries, 2);
 
     let obs = engine.observability().unwrap();
     for t in &obs.traces() {
@@ -340,7 +352,7 @@ fn slow_unsampled_queries_get_synthetic_trees() {
 fn slo_burn_counters_partition_the_queries() {
     let (hris, queries) = scenario();
     // An unreachable threshold: every query lands on the good side.
-    let engine = QueryEngine::with_config(
+    let engine = serving(
         &hris,
         EngineConfig::builder()
             .observability(true)
@@ -348,14 +360,14 @@ fn slo_burn_counters_partition_the_queries() {
             .build()
             .unwrap(),
     );
-    let _ = engine.infer_batch(&queries, 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
     let snap = engine.observability().unwrap().snapshot();
     let n = queries.len() as u64;
     assert_eq!(snap.counter("hris_engine_slo_good_total"), Some(n));
     assert_eq!(snap.counter("hris_engine_slo_breach_total"), Some(0));
 
     // And the inverse: a vanishing threshold burns the whole budget.
-    let engine = QueryEngine::with_config(
+    let engine = serving(
         &hris,
         EngineConfig::builder()
             .observability(true)
@@ -363,7 +375,7 @@ fn slo_burn_counters_partition_the_queries() {
             .build()
             .unwrap(),
     );
-    let _ = engine.infer_batch(&queries, 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
     let snap = engine.observability().unwrap().snapshot();
     assert_eq!(snap.counter("hris_engine_slo_good_total"), Some(0));
     assert_eq!(snap.counter("hris_engine_slo_breach_total"), Some(n));
@@ -372,11 +384,11 @@ fn slo_burn_counters_partition_the_queries() {
 #[test]
 fn rolling_latency_windows_see_the_workload() {
     let (hris, queries) = scenario();
-    let engine = QueryEngine::with_config(
+    let engine = serving(
         &hris,
         EngineConfig::builder().observability(true).build().unwrap(),
     );
-    let _ = engine.infer_batch(&queries, 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
     let obs = engine.observability().unwrap();
     let json = obs.rolling_latency_json();
     // Just-served queries are inside the 1m window: a positive rate and a
@@ -395,9 +407,15 @@ fn shared_registry_collects_engine_metrics() {
     // A caller-owned metric lives alongside the engine's.
     let own = registry.counter("my_harness_runs_total", "Harness runs.");
     own.inc();
-    let engine = QueryEngine::with_registry(&hris, EngineConfig::default(), registry.clone());
+    let engine = EngineHandle::from_snapshot_with_registry(
+        Arc::new(hris.network().clone()),
+        Arc::new(ArchiveSnapshot::new(0, hris.archive().clone())),
+        hris.params().clone(),
+        EngineConfig::default(),
+        registry.clone(),
+    );
     assert!(engine.config().obs.enabled, "with_registry implies obs");
-    let _ = engine.infer_batch(&queries, 2);
+    let _ = engine.infer_batch_detailed(&queries, 2);
 
     let snap = registry.snapshot();
     assert_eq!(snap.counter("my_harness_runs_total"), Some(1));

@@ -1,15 +1,18 @@
-//! Dirty-data robustness of the [`QueryEngine`]: the seeded fault corpus
+//! Dirty-data robustness of the [`EngineHandle`]: the seeded fault corpus
 //! must never panic, every query must yield a [`QueryOutcome`], clean
 //! inputs must stay byte-identical to the validation-off engine (and the
 //! plain [`Hris`] pipeline), and the outcome counters must account exactly.
 
-use hris::{EngineConfig, Hris, HrisParams, QueryEngine, QueryOutcome, RejectReason, ScoredRoute};
+use hris::{
+    EngineConfig, EngineHandle, GlobalRoute, Hris, HrisParams, QueryOutcome, RejectReason,
+    ScoredRoute,
+};
 use hris_geo::Point;
 use hris_obs::MetricsRegistry;
 use hris_roadnet::{generator, NetworkConfig};
 use hris_traj::{
-    fault_corpus, resample_to_interval, FaultKind, GpsPoint, SimConfig, Simulator, TrajId,
-    Trajectory,
+    fault_corpus, resample_to_interval, ArchiveSnapshot, FaultKind, GpsPoint, SimConfig, Simulator,
+    TrajId, Trajectory,
 };
 use std::sync::Arc;
 
@@ -40,6 +43,27 @@ fn scenario() -> (Hris<'static>, Vec<Trajectory>) {
     (Hris::new(net, archive, HrisParams::default()), queries)
 }
 
+/// The serving engine over `hris`'s network (cloned, identity kept),
+/// archive and parameters.
+fn serving(hris: &Hris<'_>, cfg: EngineConfig) -> EngineHandle {
+    EngineHandle::with_config(
+        Arc::new(hris.network().clone()),
+        hris.archive().clone(),
+        hris.params().clone(),
+        cfg,
+    )
+}
+
+fn scored(globals: Vec<GlobalRoute>) -> Vec<ScoredRoute> {
+    globals
+        .into_iter()
+        .map(|g| ScoredRoute {
+            route: g.route,
+            log_score: g.log_score,
+        })
+        .collect()
+}
+
 fn outcomes(results: &[hris::QueryResult]) -> Vec<&'static str> {
     results.iter().map(|r| r.outcome.label()).collect()
 }
@@ -47,7 +71,7 @@ fn outcomes(results: &[hris::QueryResult]) -> Vec<&'static str> {
 #[test]
 fn hundred_case_fault_corpus_never_panics_and_is_deterministic() {
     let (hris, clean) = scenario();
-    let engine = QueryEngine::new(&hris);
+    let engine = serving(&hris, EngineConfig::default());
 
     // 100 cases cycle all 8 fault kinds — every kind represented.
     let corpus = fault_corpus(42, &clean, 100);
@@ -93,13 +117,13 @@ fn hundred_case_fault_corpus_never_panics_and_is_deterministic() {
 #[test]
 fn clean_inputs_are_byte_identical_across_validation_settings() {
     let (hris, clean) = scenario();
-    let validated = QueryEngine::new(&hris);
+    let validated = serving(&hris, EngineConfig::default());
     assert!(validated.config().validation.enabled);
-    let unvalidated = QueryEngine::with_config(&hris, EngineConfig::unvalidated());
+    let unvalidated = serving(&hris, EngineConfig::unvalidated());
 
     for q in &clean {
-        let with: Vec<ScoredRoute> = validated.infer_routes(q, 3);
-        let without: Vec<ScoredRoute> = unvalidated.infer_routes(q, 3);
+        let with: Vec<ScoredRoute> = scored(validated.infer_query(q, 3).globals);
+        let without: Vec<ScoredRoute> = scored(unvalidated.infer_query(q, 3).globals);
         let plain: Vec<ScoredRoute> = hris.infer_routes(q, 3);
         assert_eq!(with.len(), without.len());
         assert_eq!(with.len(), plain.len());
@@ -120,7 +144,7 @@ fn clean_inputs_are_byte_identical_across_validation_settings() {
 #[test]
 fn per_fault_outcomes_follow_the_repair_ladder() {
     let (hris, clean) = scenario();
-    let engine = QueryEngine::new(&hris);
+    let engine = serving(&hris, EngineConfig::default());
     let base = &clean[0];
 
     // NaN coordinates: repaired (the poisoned point is dropped), never Ok.
@@ -198,7 +222,13 @@ fn per_fault_outcomes_follow_the_repair_ladder() {
 fn outcome_counters_account_exactly() {
     let (hris, clean) = scenario();
     let registry = Arc::new(MetricsRegistry::new());
-    let engine = QueryEngine::with_registry(&hris, EngineConfig::default(), Arc::clone(&registry));
+    let engine = EngineHandle::from_snapshot_with_registry(
+        Arc::new(hris.network().clone()),
+        Arc::new(ArchiveSnapshot::new(0, hris.archive().clone())),
+        hris.params().clone(),
+        EngineConfig::default(),
+        Arc::clone(&registry),
+    );
 
     let corpus = fault_corpus(7, &clean, 32);
     let queries: Vec<Trajectory> = corpus.into_iter().map(|(_, t)| t).collect();
@@ -251,7 +281,7 @@ fn outcome_counters_account_exactly() {
 #[test]
 fn outcome_json_round_trips() {
     let (hris, clean) = scenario();
-    let engine = QueryEngine::new(&hris);
+    let engine = serving(&hris, EngineConfig::default());
     let corpus = fault_corpus(3, &clean, 16);
     for (_, q) in &corpus {
         let outcome = engine.infer_query(q, 2).outcome;

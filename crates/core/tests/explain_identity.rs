@@ -5,13 +5,18 @@
 //! returned (ranks in order, score components matching the routes,
 //! attribution arithmetic matching the configured rerank model).
 
-use hris::{EngineConfig, Hris, HrisParams, QueryEngine, QueryResult, RerankModel};
+use hris::{EngineConfig, EngineHandle, HrisParams, QueryResult, RerankModel};
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
 use hris_traj::{GpsPoint, SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive};
+use std::sync::Arc;
 
 fn net() -> RoadNetwork {
     generator::generate(&NetworkConfig::small(5))
+}
+
+fn serving(net: &Arc<RoadNetwork>, archive: &TrajectoryArchive, cfg: EngineConfig) -> EngineHandle {
+    EngineHandle::with_config(Arc::clone(net), archive.clone(), HrisParams::default(), cfg)
 }
 
 fn archive(net: &RoadNetwork) -> TrajectoryArchive {
@@ -65,13 +70,13 @@ fn assert_identical(a: &QueryResult, b: &QueryResult, ctx: &str) {
 
 #[test]
 fn explain_and_tracing_leave_outputs_byte_identical() {
-    let net = net();
+    let net = Arc::new(net());
     let archive = archive(&net);
-    let hris = Hris::new(&net, archive, HrisParams::default());
 
-    let plain = QueryEngine::with_config(&hris, EngineConfig::default());
-    let explained = QueryEngine::with_config(
-        &hris,
+    let plain = serving(&net, &archive, EngineConfig::default());
+    let explained = serving(
+        &net,
+        &archive,
         EngineConfig::builder()
             .observability(true)
             .explain(32)
@@ -94,11 +99,11 @@ fn explain_and_tracing_leave_outputs_byte_identical() {
 
 #[test]
 fn audit_documents_describe_the_returned_routes() {
-    let net = net();
+    let net = Arc::new(net());
     let archive = archive(&net);
-    let hris = Hris::new(&net, archive, HrisParams::default());
-    let engine = QueryEngine::with_config(
-        &hris,
+    let engine = serving(
+        &net,
+        &archive,
         EngineConfig::builder()
             .explain(8)
             .explain_top_k(2)
@@ -155,9 +160,8 @@ fn audit_documents_describe_the_returned_routes() {
 
 #[test]
 fn rerank_attributions_follow_the_configured_model() {
-    let net = net();
+    let net = Arc::new(net());
     let archive = archive(&net);
-    let hris = Hris::new(&net, archive, HrisParams::default());
     // A deterministic hand-built model (no training run needed): nonzero
     // weights so attributions are visible.
     let mut model = RerankModel::zeroed();
@@ -168,8 +172,9 @@ fn rerank_attributions_follow_the_configured_model() {
         *s = 2.0;
     }
 
-    let engine = QueryEngine::with_config(
-        &hris,
+    let engine = serving(
+        &net,
+        &archive,
         EngineConfig::builder()
             .rerank(model.clone())
             .explain(8)

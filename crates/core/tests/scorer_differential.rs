@@ -1,8 +1,8 @@
 //! Differential guarantees of the `RouteScorer` seam.
 //!
-//! - [`hris::PaperScorer`] must be byte-identical to the deprecated free
-//!   functions it replaced (`k_gri_with`, `brute_force_top_k_with`) — the
-//!   API redesign moved code, it must not move a bit.
+//! - [`hris::PaperScorer`]'s K-GRI dynamic program must agree with its
+//!   brute-force oracle on real local-inference output, for both popularity
+//!   models.
 //! - With re-ranking off (the default) the engine must match the plain
 //!   [`Hris`] pipeline byte for byte, and an all-zero [`RerankModel`] must
 //!   be a byte-identical no-op (stable sort on an all-tie).
@@ -14,13 +14,14 @@
 use hris::local::{LocalInferenceResult, LocalStats, RefEdgeIndex};
 use hris::reference::{RefKind, RefTrajectory, ReferenceSet};
 use hris::{
-    extract_features, EngineConfig, GlobalRoute, Hris, HrisParams, LearnedScorer, PaperScorer,
-    PopularityModel, QueryEngine, RerankModel, RouteScorer, ScoredRoute, ScoringCtx,
+    extract_features, EngineConfig, EngineHandle, GlobalRoute, Hris, HrisParams, LearnedScorer,
+    PaperScorer, PopularityModel, RerankModel, RouteScorer, ScoredRoute, ScoringCtx,
 };
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig, RoadClass, RoadNetwork, Route, SegmentId};
 use hris_traj::{resample_to_interval, SimConfig, Simulator, TrajId, Trajectory};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------- fixtures
 
@@ -50,19 +51,6 @@ fn scenario() -> (&'static RoadNetwork, Hris<'static>, Vec<Trajectory>) {
     (net, hris, queries)
 }
 
-fn assert_bitwise(kind: &str, a: &[GlobalRoute], b: &[GlobalRoute]) {
-    assert_eq!(a.len(), b.len(), "{kind}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.route, y.route, "{kind}: route {i}");
-        assert_eq!(
-            x.log_score.to_bits(),
-            y.log_score.to_bits(),
-            "{kind}: score bits {i}"
-        );
-        assert_eq!(x.local_indices, y.local_indices, "{kind}: indices {i}");
-    }
-}
-
 fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
     assert_eq!(a.len(), b.len(), "{kind}: length");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -77,12 +65,11 @@ fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
 
 // ------------------------------------------------------------------ tests
 
-/// The trait front-end reproduces the deprecated free functions bit for
-/// bit on real local-inference output, for both popularity models and both
-/// the DP and the brute-force oracle.
+/// The K-GRI dynamic program agrees with the brute-force enumeration on
+/// real local-inference output, for both popularity models: the same
+/// number of routes and the same scores, rank by rank.
 #[test]
-#[allow(deprecated)]
-fn paper_scorer_matches_legacy_free_functions() {
+fn paper_scorer_dp_matches_brute_force() {
     let (net, hris, queries) = scenario();
     for q in &queries {
         let locals = hris.local_inference(q);
@@ -92,16 +79,17 @@ fn paper_scorer_matches_legacy_free_functions() {
             for k in [1usize, 3, 8] {
                 let scorer = PaperScorer::new(0.05, model);
                 let sctx = ScoringCtx::new(net, slice, k);
-                assert_bitwise(
-                    &format!("k_gri k={k} {model:?}"),
-                    &scorer.top_k(&sctx),
-                    &hris::k_gri_with(net, slice, k, 0.05, model),
-                );
-                assert_bitwise(
-                    &format!("brute k={k} {model:?}"),
-                    &scorer.top_k_brute_force(&sctx),
-                    &hris::brute_force_top_k_with(net, slice, k, 0.05, model),
-                );
+                let dp = scorer.top_k(&sctx);
+                let bf = scorer.top_k_brute_force(&sctx);
+                assert_eq!(dp.len(), bf.len(), "k={k} {model:?}: length");
+                for (i, (d, b)) in dp.iter().zip(&bf).enumerate() {
+                    assert!(
+                        (d.log_score - b.log_score).abs() < 1e-9,
+                        "k={k} {model:?} rank {i}: {} vs {}",
+                        d.log_score,
+                        b.log_score
+                    );
+                }
             }
         }
     }
@@ -116,16 +104,33 @@ fn default_off_and_zero_model_are_byte_identical() {
     let k = 4;
     let baseline: Vec<Vec<ScoredRoute>> = queries.iter().map(|q| hris.infer_routes(q, k)).collect();
 
-    let default_cfg = QueryEngine::with_config(&hris, EngineConfig::default());
-    let zero = QueryEngine::with_config(
-        &hris,
+    let serving = |cfg: EngineConfig| {
+        EngineHandle::with_config(
+            Arc::new(hris.network().clone()),
+            hris.archive().clone(),
+            hris.params().clone(),
+            cfg,
+        )
+    };
+    let routes = |engine: &EngineHandle, q: &Trajectory| -> Vec<ScoredRoute> {
+        engine
+            .infer_query(q, k)
+            .globals
+            .into_iter()
+            .map(|g| ScoredRoute {
+                route: g.route,
+                log_score: g.log_score,
+            })
+            .collect()
+    };
+    let default_cfg = serving(EngineConfig::default());
+    let zero = serving(
         EngineConfig::builder()
             .rerank(RerankModel::zeroed())
             .build()
             .unwrap(),
     );
-    let zero_observed = QueryEngine::with_config(
-        &hris,
+    let zero_observed = serving(
         EngineConfig::builder()
             .rerank(RerankModel::zeroed())
             .observability(true)
@@ -133,13 +138,9 @@ fn default_off_and_zero_model_are_byte_identical() {
             .unwrap(),
     );
     for (q, want) in queries.iter().zip(&baseline) {
-        assert_scored_bitwise("default off", &default_cfg.infer_routes(q, k), want);
-        assert_scored_bitwise("zero model", &zero.infer_routes(q, k), want);
-        assert_scored_bitwise(
-            "zero model observed",
-            &zero_observed.infer_routes(q, k),
-            want,
-        );
+        assert_scored_bitwise("default off", &routes(&default_cfg, q), want);
+        assert_scored_bitwise("zero model", &routes(&zero, q), want);
+        assert_scored_bitwise("zero model observed", &routes(&zero_observed, q), want);
     }
 }
 

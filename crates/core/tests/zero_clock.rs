@@ -9,7 +9,7 @@
 //! This file is a dedicated test binary on purpose: the read counter is
 //! process-global, so no test here may construct an instrumented engine.
 
-use hris::{EngineConfig, EngineHandle, Hris, HrisParams, QueryEngine, QueryOutcome};
+use hris::{EngineConfig, EngineHandle, HrisParams, QueryOutcome};
 use hris_geo::Point;
 use hris_obs::clock;
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
@@ -50,11 +50,15 @@ fn query(x0: f64, n: usize) -> Trajectory {
 
 #[test]
 fn disabled_engine_reads_the_clock_zero_times() {
-    let net = net();
+    let net = Arc::new(net());
     let archive = archive(&net);
-    let hris = Hris::new(&net, archive, HrisParams::default());
     // The default configuration: observability off, explain off.
-    let engine = QueryEngine::with_config(&hris, EngineConfig::default());
+    let engine = EngineHandle::with_config(
+        Arc::clone(&net),
+        archive,
+        HrisParams::default(),
+        EngineConfig::default(),
+    );
     let queries: Vec<Trajectory> = (0..4).map(|i| query(200.0 + i as f64 * 300.0, 4)).collect();
 
     let before = clock::reads();
@@ -62,6 +66,8 @@ fn disabled_engine_reads_the_clock_zero_times() {
         let r = engine.infer_query(q, 2);
         assert!(!matches!(r.outcome, QueryOutcome::Rejected { .. }));
     }
+    // A query long enough to fan its pairs out on the pool.
+    let _ = engine.infer_query(&query(200.0, 10), 2);
     let _ = engine.infer_batch_detailed(&queries, 2);
     // Degradation paths too: a dirty-but-repairable query and a rejected one.
     let mut dirty = query(500.0, 4);
@@ -91,7 +97,7 @@ fn disabled_live_handle_reads_the_clock_zero_times() {
     for q in &queries {
         let _ = handle.infer_query(q, 2);
     }
-    let _ = handle.infer_batch(&queries, 2);
+    let _ = handle.infer_batch_detailed(&queries, 2);
     assert_eq!(
         clock::reads() - before,
         0,

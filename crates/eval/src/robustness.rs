@@ -1,5 +1,5 @@
 //! Dirty-data robustness pass: a seeded fault corpus through the tolerant
-//! archive loader and the degraded-mode [`QueryEngine`], with all
+//! archive loader and the degraded-mode [`EngineHandle`], with all
 //! quarantine/repair/degradation accounting on one shared metrics registry.
 //!
 //! The pass is deterministic for a fixed seed — the corpus, the load report
@@ -125,8 +125,13 @@ pub fn evaluate_robustness(
     load_report.record_on(&registry);
 
     // Query leg: the full corpus through the degraded-mode engine.
-    let hris = Hris::new(&scenario.net, scenario.archive.clone(), params.clone());
-    let engine = QueryEngine::with_registry(&hris, EngineConfig::default(), Arc::clone(&registry));
+    let engine = EngineHandle::from_snapshot_with_registry(
+        Arc::new(scenario.net.clone()),
+        Arc::new(ArchiveSnapshot::new(0, scenario.archive.clone())),
+        params.clone(),
+        EngineConfig::default(),
+        Arc::clone(&registry),
+    );
     let results = engine.infer_batch_detailed(&corrupted, params.k3.max(1));
 
     let mut outcome_counts: BTreeMap<&'static str, usize> = BTreeMap::new();

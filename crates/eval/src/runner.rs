@@ -1,21 +1,24 @@
 //! Evaluation runners: matcher/HRIS accuracy and running time over a
 //! scenario's query workload.
 //!
-//! HRIS evaluations go through the [`QueryEngine`]: queries are resampled up
-//! front, inferred as one batch (sharing the engine's candidate memo and
-//! shortest-path cache across the whole workload), and `mean_time_s` is the
-//! batch wall time divided by the query count — per-query cost as a batch
-//! consumer actually pays it. Baseline matchers fan out across queries with
-//! the same thread pool.
+//! Accuracy evaluations run the reference [`Hris`] pipeline: queries are
+//! resampled up front and fanned out across the thread pool, and
+//! `mean_time_s` is the wall time of the whole workload divided by the
+//! query count — per-query cost as a batch consumer actually pays it.
+//! Baseline matchers fan out across queries with the same thread pool. The
+//! observed and audit runs go through the [`EngineHandle`], whose answers
+//! are byte-identical to `Hris`'s.
 
 use crate::metrics::accuracy_al;
 use crate::scenario::Scenario;
+use hris::local::LocalStats;
 use hris::prelude::*;
 use hris_mapmatch::MapMatcher;
 use hris_obs::{MetricsSnapshot, TraceRecord};
 use hris_traj::{resample_to_interval, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The engine's four pipeline phases, in execution order.
@@ -81,28 +84,53 @@ pub fn evaluate_hris(
 ) -> EvalOutcome {
     let archive = archive_override.unwrap_or(&scenario.archive);
     let hris = Hris::new(&scenario.net, archive.clone(), params.clone());
-    let engine = QueryEngine::new(&hris);
     let queries = resampled(scenario, interval_s);
 
     let t0 = Instant::now();
-    let detailed = engine.infer_batch_detailed(&queries, params.k3.max(1));
+    let detailed: Vec<(Vec<GlobalRoute>, Vec<LocalStats>)> = queries
+        .par_iter()
+        .map(|q| hris.infer_routes_detailed(q, params.k3.max(1)))
+        .collect();
     let per_query_s = t0.elapsed().as_secs_f64() / queries.len().max(1) as f64;
+    score_top1(scenario, &detailed, per_query_s)
+}
 
+/// Top-1 accuracy, density and kNN work of each query's answer, aggregated.
+fn score_top1(
+    scenario: &Scenario,
+    detailed: &[(Vec<GlobalRoute>, Vec<LocalStats>)],
+    per_query_s: f64,
+) -> EvalOutcome {
     let results: Vec<(f64, f64, f64, f64)> = detailed
-        .into_iter()
+        .iter()
         .zip(&scenario.queries)
-        .map(|(r, q)| {
-            let acc = r
-                .globals
+        .map(|((globals, stats), q)| {
+            let acc = globals
                 .first()
                 .map(|g| accuracy_al(&q.truth, &g.route, &scenario.net))
                 .unwrap_or(0.0);
-            let density = mean(r.stats.iter().map(|s| s.density).filter(|d| d.is_finite()));
-            let knn = r.stats.iter().map(|s| s.knn_searches).sum::<usize>() as f64;
+            let density = mean(stats.iter().map(|s| s.density).filter(|d| d.is_finite()));
+            let knn = stats.iter().map(|s| s.knn_searches).sum::<usize>() as f64;
             (acc, per_query_s, density, knn)
         })
         .collect();
     aggregate(&results)
+}
+
+/// The serving engine over the scenario's network (a clone keeps the
+/// network's identity, so the archive's projection rows still apply).
+fn serving(
+    scenario: &Scenario,
+    archive: &TrajectoryArchive,
+    params: &HrisParams,
+    cfg: EngineConfig,
+) -> EngineHandle {
+    EngineHandle::with_config(
+        Arc::new(scenario.net.clone()),
+        archive.clone(),
+        params.clone(),
+        cfg,
+    )
 }
 
 /// Observability artifacts of one instrumented evaluation run: the final
@@ -233,10 +261,10 @@ impl ObsReport {
 /// [`evaluate_hris`] with engine instrumentation: runs the same workload on
 /// an observed engine and returns the usual outcome plus an [`ObsReport`].
 ///
-/// The instrumented engine runs queries sequentially (`batch_parallel` off,
-/// [`ExecMode::Sequential`]) so the per-phase wall times sum to the batch
-/// wall time on any host — the report is an attribution profile, not a
-/// throughput benchmark. Results are byte-identical either way.
+/// The instrumented engine answers the queries one at a time so the
+/// per-phase wall times sum to the run's wall time on any host — the report
+/// is an attribution profile, not a throughput benchmark. Results are
+/// byte-identical either way.
 #[must_use]
 pub fn evaluate_hris_observed(
     scenario: &Scenario,
@@ -245,35 +273,23 @@ pub fn evaluate_hris_observed(
     archive_override: Option<&TrajectoryArchive>,
 ) -> (EvalOutcome, ObsReport) {
     let archive = archive_override.unwrap_or(&scenario.archive);
-    let hris = Hris::new(&scenario.net, archive.clone(), params.clone());
     let cfg = EngineConfig::builder()
-        .mode(ExecMode::Sequential)
-        .batch_parallel(false)
         .observability(true)
         .build()
         .expect("static engine configuration");
-    let engine = QueryEngine::with_config(&hris, cfg);
+    let engine = serving(scenario, archive, params, cfg);
     let queries = resampled(scenario, interval_s);
 
     let t0 = Instant::now();
-    let detailed = engine.infer_batch_detailed(&queries, params.k3.max(1));
-    let wall_s = t0.elapsed().as_secs_f64();
-    let per_query_s = wall_s / queries.len().max(1) as f64;
-
-    let results: Vec<(f64, f64, f64, f64)> = detailed
-        .into_iter()
-        .zip(&scenario.queries)
-        .map(|(r, q)| {
-            let acc = r
-                .globals
-                .first()
-                .map(|g| accuracy_al(&q.truth, &g.route, &scenario.net))
-                .unwrap_or(0.0);
-            let density = mean(r.stats.iter().map(|s| s.density).filter(|d| d.is_finite()));
-            let knn = r.stats.iter().map(|s| s.knn_searches).sum::<usize>() as f64;
-            (acc, per_query_s, density, knn)
+    let detailed: Vec<(Vec<GlobalRoute>, Vec<LocalStats>)> = queries
+        .iter()
+        .map(|q| {
+            let r = engine.infer_query(q, params.k3.max(1));
+            (r.globals, r.stats)
         })
         .collect();
+    let wall_s = t0.elapsed().as_secs_f64();
+    let per_query_s = wall_s / queries.len().max(1) as f64;
 
     let obs = engine.observability().expect("instrumented engine");
     let report = ObsReport {
@@ -282,7 +298,7 @@ pub fn evaluate_hris_observed(
         traces_dropped: obs.dropped_traces(),
         wall_s,
     };
-    (aggregate(&results), report)
+    (score_top1(scenario, &detailed, per_query_s), report)
 }
 
 /// Runs the base workload on an explain-enabled engine and returns the
@@ -290,7 +306,7 @@ pub fn evaluate_hris_observed(
 /// (the `experiments --audit-out` pass).
 ///
 /// The ring is sized to the workload so no audit is evicted, and the engine
-/// runs sequentially so record order matches query order.
+/// answers the queries one at a time so record order matches query order.
 #[must_use]
 pub fn audit_hris(
     scenario: &Scenario,
@@ -298,17 +314,15 @@ pub fn audit_hris(
     interval_s: f64,
     top_k_routes: usize,
 ) -> Vec<hris::AuditRecord> {
-    let hris = Hris::new(&scenario.net, scenario.archive.clone(), params.clone());
     let cfg = EngineConfig::builder()
-        .mode(ExecMode::Sequential)
-        .batch_parallel(false)
         .explain(scenario.queries.len().max(1))
         .explain_top_k(top_k_routes)
         .build()
         .expect("static engine configuration");
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let queries = resampled(scenario, interval_s);
-    let _ = engine.infer_batch_detailed(&queries, params.k3.max(1));
+    let engine = serving(scenario, &scenario.archive, params, cfg);
+    for q in &resampled(scenario, interval_s) {
+        let _ = engine.infer_query(q, params.k3.max(1));
+    }
     engine.audit_ring().expect("explain-enabled engine").drain()
 }
 
@@ -322,9 +336,11 @@ pub fn evaluate_hris_topk(
     k: usize,
 ) -> (f64, f64) {
     let hris = Hris::new(&scenario.net, scenario.archive.clone(), params.clone());
-    let engine = QueryEngine::new(&hris);
     let queries = resampled(scenario, interval_s);
-    let batches = engine.infer_batch(&queries, k.max(1));
+    let batches: Vec<Vec<ScoredRoute>> = queries
+        .par_iter()
+        .map(|q| hris.infer_routes(q, k.max(1)))
+        .collect();
 
     let results: Vec<(f64, f64)> = batches
         .into_iter()
@@ -458,9 +474,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_evaluation_matches_plain_hris() {
-        // The runner's switch to the batch engine must not move accuracy at
-        // all — same routes, same scores, same A_L.
+    fn parallel_evaluation_matches_plain_hris() {
+        // Fanning the workload out across the pool must not move accuracy
+        // at all — same routes, same scores, same A_L.
         let s = scenario();
         let params = HrisParams::default();
         let hris = Hris::new(&s.net, s.archive.clone(), params.clone());

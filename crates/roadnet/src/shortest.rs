@@ -319,159 +319,6 @@ pub fn route_between_segments(
     Some(Route::new(segs))
 }
 
-/// Key of one segment-to-segment route query: `(from, to, cost model)`.
-pub type SpKey = (SegmentId, SegmentId, CostModel);
-
-const SP_SHARDS: usize = 16;
-
-/// Bounded concurrent cache for [`route_between_segments`] results.
-///
-/// The key hash picks one of 16 independently locked LRU shards, so parallel
-/// pair workers rarely contend on the same mutex. Negative results (`None`)
-/// are cached too: unreachable pairs are exactly the expensive ones, since
-/// Dijkstra sweeps the whole component before giving up. Results are stored
-/// verbatim, so a cached lookup is indistinguishable from a fresh
-/// computation — callers may mix cached and uncached calls freely.
-///
-/// Hit/miss accounting lives in one [`hris_obs::PairedCounter`], so a
-/// `(hits, misses)` reading is always mutually consistent: `hits + misses`
-/// is exactly the number of lookups issued before the read, even while
-/// parallel workers keep counting (previously two independent relaxed
-/// atomics could report totals that never coexisted).
-pub struct SpCache {
-    shards: Vec<std::sync::Mutex<lru::LruCache<SpKey, Option<Route>>>>,
-    lookups: hris_obs::PairedCounter,
-}
-
-impl SpCache {
-    /// Cache holding at most `capacity` routes (split evenly across shards,
-    /// rounded up; a zero capacity is bumped to one entry per shard).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let per_shard = capacity.div_ceil(SP_SHARDS).max(1);
-        let per_shard = std::num::NonZeroUsize::new(per_shard).expect("max(1) is non-zero");
-        SpCache {
-            shards: (0..SP_SHARDS)
-                .map(|_| std::sync::Mutex::new(lru::LruCache::new(per_shard)))
-                .collect(),
-            lookups: hris_obs::PairedCounter::new(),
-        }
-    }
-
-    fn shard(&self, key: &SpKey) -> &std::sync::Mutex<lru::LruCache<SpKey, Option<Route>>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// The cached result for `key`, if present (`Some(None)` = cached
-    /// negative). Counts toward the hit/miss statistics.
-    #[must_use]
-    pub fn get(&self, key: &SpKey) -> Option<Option<Route>> {
-        let found = self
-            .shard(key)
-            .lock()
-            .expect("sp-cache shard")
-            .get(key)
-            .cloned();
-        match found {
-            Some(v) => {
-                self.lookups.hit();
-                Some(v)
-            }
-            None => {
-                self.lookups.miss();
-                None
-            }
-        }
-    }
-
-    /// Stores a result, evicting the shard's least recently used entry when
-    /// full.
-    pub fn insert(&self, key: SpKey, value: Option<Route>) {
-        self.shard(&key)
-            .lock()
-            .expect("sp-cache shard")
-            .put(key, value);
-    }
-
-    /// Number of lookups answered from the cache so far (thin view over
-    /// [`SpCache::lookup_counters`]).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.lookups.hits()
-    }
-
-    /// Number of lookups that fell through to a real search so far (thin
-    /// view over [`SpCache::lookup_counters`]).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.lookups.misses()
-    }
-
-    /// The shared hit/miss pair itself — clone it to register the cache's
-    /// live counters on a metrics registry, or call
-    /// [`get`](hris_obs::PairedCounter::get) for one consistent
-    /// `(hits, misses)` reading.
-    #[must_use]
-    pub fn lookup_counters(&self) -> hris_obs::PairedCounter {
-        self.lookups.clone()
-    }
-
-    /// Drops every cached entry while keeping the hit/miss counters (they
-    /// are cumulative service statistics, not cache contents). The epoch
-    /// machinery calls this when an engine adopts a new archive snapshot,
-    /// so invalidation is per-epoch instead of cache-reconstruction.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("sp-cache shard").clear();
-        }
-    }
-
-    /// Number of entries currently cached across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("sp-cache shard").len())
-            .sum()
-    }
-
-    /// True when no entry is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for SpCache {
-    /// A cache sized for a typical query workload (8192 routes).
-    fn default() -> Self {
-        SpCache::new(8192)
-    }
-}
-
-/// [`route_between_segments`] through an [`SpCache`]: answers from the cache
-/// when possible, otherwise computes and stores the result (including
-/// negatives).
-#[must_use]
-pub fn route_between_segments_cached(
-    net: &RoadNetwork,
-    r: SegmentId,
-    s: SegmentId,
-    model: CostModel,
-    cache: &SpCache,
-) -> Option<Route> {
-    let key = (r, s, model);
-    if let Some(cached) = cache.get(&key) {
-        return cached;
-    }
-    let fresh = route_between_segments(net, r, s, model);
-    cache.insert(key, fresh.clone());
-    fresh
-}
-
 /// Up to `k` shortest simple node paths between two vertices, each mapped
 /// back to a [`Route`] via the cheapest segment per hop.
 ///
@@ -597,30 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn sp_cache_clear_drops_entries_keeps_counters() {
-        let net = grid();
-        let cache = SpCache::new(64);
-        let a = net.out_segments(NodeId(0))[0];
-        let b = net.in_segments(NodeId(8))[0];
-        let r1 = route_between_segments_cached(&net, a, b, CostModel::Distance, &cache);
-        let r2 = route_between_segments_cached(&net, a, b, CostModel::Distance, &cache);
-        assert_eq!(r1, r2);
-        assert_eq!(cache.hits(), 1);
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        // Counters survive the clear: they are cumulative service stats.
-        assert_eq!(cache.hits(), 1);
-        let (h, m) = (cache.hits(), cache.misses());
-        // The next lookup is a miss (entries gone), then a hit again.
-        let r3 = route_between_segments_cached(&net, a, b, CostModel::Distance, &cache);
-        assert_eq!(r3, r1);
-        assert_eq!(cache.misses(), m + 1);
-        let _ = route_between_segments_cached(&net, a, b, CostModel::Distance, &cache);
-        assert_eq!(cache.hits(), h + 1);
-    }
-
-    #[test]
     fn k_shortest_routes_distinct_and_sorted() {
         let net = grid();
         let routes = k_shortest_routes(&net, NodeId(0), NodeId(8), 4, CostModel::Distance);
@@ -672,82 +495,6 @@ mod tests {
             let a = astar_path(&net, s, t, CostModel::Distance).unwrap();
             assert!((d.cost - a.cost).abs() < 1e-6, "{s}->{t}");
         }
-    }
-
-    #[test]
-    fn sp_cache_hits_and_matches_uncached() {
-        let net = grid();
-        let cache = SpCache::new(64);
-        let r = net.out_segments(NodeId(0))[0];
-        let s = net.in_segments(NodeId(8))[0];
-
-        let direct = route_between_segments(&net, r, s, CostModel::Distance);
-        let first = route_between_segments_cached(&net, r, s, CostModel::Distance, &cache);
-        assert_eq!(first, direct);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-
-        let second = route_between_segments_cached(&net, r, s, CostModel::Distance, &cache);
-        assert_eq!(second, direct);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-
-        // A different cost model is a different key.
-        let timed = route_between_segments_cached(&net, r, s, CostModel::Time, &cache);
-        assert_eq!(timed, route_between_segments(&net, r, s, CostModel::Time));
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn sp_cache_stores_negative_results() {
-        let mut b = RoadNetwork::builder();
-        let a = b.add_node(Point::new(0.0, 0.0));
-        let c = b.add_node(Point::new(100.0, 0.0));
-        let d = b.add_node(Point::new(500.0, 0.0));
-        let e = b.add_node(Point::new(600.0, 0.0));
-        b.add_straight_segment(a, c, 10.0, RoadClass::Residential);
-        b.add_straight_segment(d, e, 10.0, RoadClass::Residential);
-        let net = b.build();
-        let r = net.out_segments(a)[0];
-        let s = net.out_segments(d)[0];
-
-        let cache = SpCache::new(8);
-        assert!(route_between_segments_cached(&net, r, s, CostModel::Distance, &cache).is_none());
-        assert!(route_between_segments_cached(&net, r, s, CostModel::Distance, &cache).is_none());
-        // The second unreachable lookup must be a hit, not a re-search.
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn sp_cache_capacity_is_bounded() {
-        let net = grid();
-        let cache = SpCache::new(16); // 1 entry per shard
-        let segs: Vec<SegmentId> = (0..net.num_segments() as u32).map(SegmentId).collect();
-        for &r in &segs {
-            for &s in &segs {
-                let _ = route_between_segments_cached(&net, r, s, CostModel::Distance, &cache);
-            }
-        }
-        assert!(
-            cache.len() <= 16,
-            "cache grew past capacity: {}",
-            cache.len()
-        );
-        assert!(cache.misses() > 16);
-    }
-
-    #[test]
-    fn sp_cache_counters_snapshot_consistently() {
-        let net = grid();
-        let cache = SpCache::new(64);
-        let r = net.out_segments(NodeId(0))[0];
-        let s = net.in_segments(NodeId(8))[0];
-        for _ in 0..5 {
-            let _ = route_between_segments_cached(&net, r, s, CostModel::Distance, &cache);
-        }
-        // One consistent reading: hits + misses == lookups issued, exactly.
-        let (hits, misses) = cache.lookup_counters().get();
-        assert_eq!((hits, misses), (4, 1));
-        assert_eq!((cache.hits(), cache.misses()), (4, 1));
     }
 
     #[test]

@@ -179,6 +179,18 @@ proptest! {
                 let got = oracle.route_between(r, s, model);
                 let want = route_between_segments(&net, r, s, model);
                 prop_assert_eq!(&got, &want, "route {:?}->{:?} {:?}", r, s, model);
+                // Right after the full search the answer comes from the
+                // oracle's precomputed state alone (the engine's fallback
+                // hit path), negatives included, and it is the same route.
+                let cached = oracle.route_between_cached(r, s, model);
+                prop_assert_eq!(
+                    cached.as_ref(),
+                    Some(&want),
+                    "cached route {:?}->{:?} {:?}",
+                    r,
+                    s,
+                    model
+                );
             }
         }
     }

@@ -973,8 +973,7 @@ impl ShardedEngine {
             let shard_spans = spans
                 .zip(shard_guard.as_ref())
                 .map(|((c, _), g)| (c, g.id()));
-            let (locals, epoch) =
-                self.shards[*s].local_inference_pinned_batch_traced(&subs, shard_spans);
+            let (locals, epoch) = self.shards[*s].local_inference_pinned(&subs, shard_spans);
             if let Some(g) = shard_guard.as_mut() {
                 g.attr("epoch", epoch as i64);
             }

@@ -182,7 +182,7 @@ impl FaultInjector {
 /// `cases >= FaultKind::ALL.len()`), derived from `base` round-robin.
 ///
 /// This is the reusable corpus behind the never-panic property test —
-/// downstream crates feed it straight into `QueryEngine::infer_batch`.
+/// downstream crates feed it straight into `EngineHandle::infer_batch_detailed`.
 ///
 /// # Panics
 /// Panics if `base` is empty.

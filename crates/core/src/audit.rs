@@ -6,18 +6,18 @@
 //! paper's own score and the re-ranker's feature vector and per-feature
 //! weight·feature attributions, and any fallback/repair/shed events along
 //! the way. Audits are opt-in ([`ExplainOptions`](crate::params::ExplainOptions)),
-//! rendered once to JSON, and retained in an engine- or router-owned
-//! [`AuditRing`](hris_obs::AuditRing) keyed by trace id, where
-//! `/debug/explain/<trace_id>` and `experiments --audit-out` find them.
+//! rendered once to JSON, and carried in the query's own
+//! [`TraceRecord::audit`](hris_obs::TraceRecord) in the engine's or
+//! router's one query log, where `/debug/explain/<trace_id>` and
+//! `experiments --audit-out` find them.
 //!
 //! The schema lives here (not in `hris-obs`) because it is defined by the
 //! paper's pipeline: score components are Equation 1/2 quantities and the
 //! feature vector is [`FEATURE_NAMES`] order.
 
 use crate::global::GlobalRoute;
-use crate::params::PopularityModel;
+use crate::params::{HrisParams, PopularityModel};
 use crate::scoring::{extract_features, RerankModel, RouteFeatures, ScoringCtx, FEATURE_NAMES};
-use hris_obs::AuditRecord;
 
 /// JSON string escaping for event text (feature names are static and safe).
 fn escape(s: &str) -> String {
@@ -157,14 +157,14 @@ impl RouteExplanation {
 pub struct QueryAudit {
     /// The trace id tying this audit to its span tree and trace record.
     pub trace_id: u64,
-    /// Engine- or router-assigned sequence number.
+    /// The `query_id` of the log record carrying this audit.
     pub query_id: u64,
     /// Query points.
     pub points: usize,
     /// Consecutive point pairs inferred.
     pub pairs: usize,
-    /// How the query ended: `"served"`, `"degraded"`, `"rejected"` or
-    /// `"shed"` (details in `events`).
+    /// How the query ended: `"served"`, `"repaired"`, `"degraded"`,
+    /// `"rejected"` or `"shed"` (details in `events`).
     pub outcome: String,
     /// Candidate edges matched per query point, in point order.
     pub candidates_per_point: Vec<usize>,
@@ -180,12 +180,18 @@ pub struct QueryAudit {
 }
 
 impl QueryAudit {
-    /// An empty audit for the given identity.
+    /// The audit of a query that never reached inference — shed at the
+    /// gate or rejected by validation: identity, sizes, the outcome and
+    /// the one event saying why, no routes.
     #[must_use]
-    pub fn new(trace_id: u64, query_id: u64) -> Self {
+    pub fn event_only(trace_id: u64, points: usize, outcome: &str, event: String) -> Self {
         QueryAudit {
             trace_id,
-            query_id,
+            points,
+            pairs: points.saturating_sub(1),
+            outcome: outcome.to_string(),
+            scorer: "none".to_string(),
+            events: vec![event],
             ..QueryAudit::default()
         }
     }
@@ -193,6 +199,36 @@ impl QueryAudit {
     /// Appends one event line.
     pub fn push_event(&mut self, event: impl Into<String>) {
         self.events.push(event.into());
+    }
+
+    /// Explains the first `top_k` returned routes into
+    /// [`QueryAudit::routes`]: paper score components and feature vector,
+    /// extracted with the popularity knobs the scorer used, plus — given
+    /// the configured `rerank` model — the model's score and per-feature
+    /// attributions.
+    pub fn explain_routes(
+        &mut self,
+        sctx: &ScoringCtx<'_>,
+        globals: &[GlobalRoute],
+        top_k: usize,
+        params: &HrisParams,
+        rerank: Option<&RerankModel>,
+    ) {
+        self.routes = globals
+            .iter()
+            .take(top_k)
+            .enumerate()
+            .map(|(rank, g)| {
+                RouteExplanation::explain(
+                    sctx,
+                    g,
+                    rank,
+                    params.entropy_floor,
+                    params.popularity_model,
+                    rerank,
+                )
+            })
+            .collect();
     }
 
     /// This audit as one JSON object (compact, stable key order).
@@ -236,14 +272,18 @@ impl QueryAudit {
         )
     }
 
-    /// Renders this audit into the ring's record form.
+    /// A rendered audit refiled under another log's `query_id` — how a
+    /// router's record carries the audit a shard wrote under the shard's
+    /// sequence. `json` must come from [`QueryAudit::to_json`], whose
+    /// `query_id` is the second key; anything else is returned unchanged.
     #[must_use]
-    pub fn into_record(self) -> AuditRecord {
-        AuditRecord {
-            trace_id: self.trace_id,
-            query_id: self.query_id,
-            json: self.to_json(),
-        }
+    pub fn refile(json: &str, query_id: u64) -> String {
+        const KEY: &str = ",\"query_id\":";
+        let Some(at) = json.find(KEY).map(|i| i + KEY.len()) else {
+            return json.to_string();
+        };
+        let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+        format!("{}{query_id}{}", &json[..at], &json[at + digits..])
     }
 }
 
@@ -253,24 +293,49 @@ mod tests {
 
     #[test]
     fn audit_json_shape_and_escaping() {
-        let mut audit = QueryAudit::new(7, 3);
-        audit.points = 4;
-        audit.pairs = 3;
-        audit.outcome = "served".to_string();
-        audit.candidates_per_point = vec![2, 3, 1, 2];
-        audit.local_routes_per_pair = vec![5, 4, 6];
-        audit.scorer = "paper".to_string();
+        let mut audit = QueryAudit {
+            trace_id: 7,
+            query_id: 3,
+            points: 4,
+            pairs: 3,
+            outcome: "served".to_string(),
+            candidates_per_point: vec![2, 3, 1, 2],
+            local_routes_per_pair: vec![5, 4, 6],
+            scorer: "paper".to_string(),
+            ..QueryAudit::default()
+        };
         audit.push_event("repair: pair 1 fell back to \"shortest path\"");
-        let j = audit.clone().into_record();
-        assert_eq!(j.trace_id, 7);
-        assert_eq!(j.query_id, 3);
-        assert!(j.json.starts_with("{\"trace_id\":7,\"query_id\":3,"));
-        assert!(j.json.contains("\"candidates_per_point\":[2,3,1,2]"));
-        assert!(j.json.contains("\"local_routes_per_pair\":[5,4,6]"));
-        assert!(j.json.contains("fell back to \\\"shortest path\\\""));
-        assert!(j.json.contains("\"routes\":[]"));
-        assert!(serde_json::from_str::<serde_json::Value>(&j.json).is_ok());
-        assert!(j.json.contains("\"outcome\":\"served\""));
+        let j = audit.to_json();
+        assert!(j.starts_with("{\"trace_id\":7,\"query_id\":3,"));
+        assert!(j.contains("\"candidates_per_point\":[2,3,1,2]"));
+        assert!(j.contains("\"local_routes_per_pair\":[5,4,6]"));
+        assert!(j.contains("fell back to \\\"shortest path\\\""));
+        assert!(j.contains("\"routes\":[]"));
+        assert!(serde_json::from_str::<serde_json::Value>(&j).is_ok());
+        assert!(j.contains("\"outcome\":\"served\""));
+    }
+
+    #[test]
+    fn event_only_audits_carry_no_routes() {
+        let audit = QueryAudit::event_only(9, 4, "shed", "admission: full".to_string());
+        assert_eq!((audit.points, audit.pairs), (4, 3));
+        assert_eq!(audit.scorer, "none");
+        assert_eq!(audit.events, vec!["admission: full".to_string()]);
+        assert!(audit.routes.is_empty());
+        assert_eq!(
+            QueryAudit::event_only(1, 0, "rejected", String::new()).pairs,
+            0
+        );
+    }
+
+    #[test]
+    fn refile_replaces_only_the_query_id() {
+        let mut audit = QueryAudit::event_only(12, 2, "rejected", "x".to_string());
+        audit.query_id = 345;
+        let refiled = QueryAudit::refile(&audit.to_json(), 7);
+        audit.query_id = 7;
+        assert_eq!(refiled, audit.to_json());
+        assert_eq!(QueryAudit::refile("{}", 7), "{}");
     }
 
     #[test]

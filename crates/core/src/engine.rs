@@ -7,7 +7,7 @@
 //!
 //! * **Pair fan-out** — phases 1–2 of a query (reference search + local
 //!   inference per consecutive point pair) are independent per pair; a
-//!   single query with at least [`PAIR_FANOUT_MIN_PAIRS`] pairs fans them
+//!   single query with at least `PAIR_FANOUT_MIN_PAIRS` (8) pairs fans them
 //!   out on the thread pool and hands the results to K-GRI in query order.
 //!   Shorter queries run their pairs on the calling thread, where fork/join
 //!   overhead would exceed the work.
@@ -16,34 +16,39 @@
 //!   oversubscribed by nested fan-out.
 //! * **Candidate memo** — per-point candidate edges memoised by the *exact
 //!   bit pattern* of the position, shared by all pairs and all queries,
-//!   bounded by a wholesale flush at [`CAND_MEMO_CAP`] entries. The
+//!   bounded by a wholesale flush at `CAND_MEMO_CAP` entries. The
 //!   shortest-path fallback goes straight to the network's
 //!   [`SpOracle`](hris_roadnet::SpOracle), which memoises whole trees.
 //! * **Observability** — with [`ObsOptions::enabled`](crate::ObsOptions)
 //!   the engine records per-phase wall time, queue depth, worker occupancy,
-//!   cache hit/miss pairs, rolling-window latency quantiles and opt-in
-//!   per-query [`TraceRecord`]s on an [`hris_obs`] registry ([`EngineObs`]);
-//!   sampled queries additionally carry a structured span tree whose ids
-//!   surface as histogram exemplars. Disabled (the default) the hot path
-//!   performs no clock reads and no atomic updates beyond the cache
-//!   counters that predate instrumentation.
+//!   cache hit/miss pairs and rolling-window latency quantiles on an
+//!   [`hris_obs`] registry ([`EngineObs`]); sampled queries additionally
+//!   carry a structured span tree whose ids surface as histogram
+//!   exemplars. Disabled (the default) the hot path performs no clock
+//!   reads and no atomic updates beyond the cache counters that predate
+//!   instrumentation.
+//! * **Query log** — with tracing or explain on, every query (served,
+//!   repaired, degraded, rejected or shed) files exactly one
+//!   [`TraceRecord`] in one bounded [`TraceRing`]
+//!   ([`EngineConfig::query_log`]): timings and cache tallies when
+//!   tracing, the rendered [`QueryAudit`] when explaining.
 //!
 //! The load-bearing invariant: **scheduling, caching and instrumentation
 //! never change any result.** Pair workers only read shared state, the memo
 //! is keyed exactly (no tolerance collisions), and memoised values are
-//! stored verbatim — so a fanned-out query, a batch and the plain [`Hris`]
-//! pipeline return byte-identical routes and scores, with or without
+//! stored verbatim — so a fanned-out query, a batch and the plain
+//! [`Hris`](crate::Hris) pipeline return byte-identical routes and scores, with or without
 //! metrics enabled. `tests/engine_determinism.rs` and
 //! `tests/engine_observability.rs` pin this down.
 
-use crate::audit::{QueryAudit, RouteExplanation};
+use crate::audit::QueryAudit;
 use crate::global::GlobalRoute;
 use crate::local::{LocalInferenceResult, LocalStats};
 use crate::params::{EngineConfig, HrisParams, ObsOptions};
 use crate::pipeline::{degenerate_local, infer_pair, DegenerateQuery};
 use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};
 use hris_obs::{
-    clock, synthetic_tree, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
+    clock, synthetic_tree, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
     PairedCounter, SlidingHistogram, Span, SpanCollector, SpanGuard, SpanSampler, TraceRecord,
     TraceRing, DEFAULT_TIME_BOUNDS,
 };
@@ -312,7 +317,8 @@ impl LatencyWindows {
 }
 
 /// The engine's live instrumentation: metric handles on a shared
-/// [`MetricsRegistry`] plus the per-query trace ring.
+/// [`MetricsRegistry`]. The per-query records live in the engine's query
+/// log ([`EngineHandle::trace_ring`](crate::EngineHandle::trace_ring)).
 ///
 /// All metric names are prefixed `hris_engine_` and form a stable contract
 /// (see DESIGN.md §5d for the catalog). The registry may be shared with
@@ -342,8 +348,6 @@ pub struct EngineObs {
     rerank_routes: Counter,
     rerank_reordered: Counter,
     rerank_seconds: Histogram,
-    traces: TraceRing,
-    next_query_id: AtomicU64,
     slow_threshold_s: f64,
     span_sampler: SpanSampler,
     windows: LatencyWindows,
@@ -394,7 +398,7 @@ impl EngineObs {
             ),
             traces_dropped: registry.counter(
                 "hris_engine_traces_dropped_total",
-                "Trace records evicted from the ring buffer.",
+                "Per-query records (traces and audits) evicted from the bounded query log.",
             ),
             repaired: registry.counter(
                 "hris_engine_repaired_total",
@@ -465,8 +469,6 @@ impl EngineObs {
                 "Wall seconds spent re-ranking per query (refine phase).",
                 &DEFAULT_TIME_BOUNDS,
             ),
-            traces: TraceRing::new(opts.trace_capacity),
-            next_query_id: AtomicU64::new(0),
             slow_threshold_s: opts.slow_query_threshold_s,
             span_sampler: SpanSampler::new(opts.span_sample_every),
             windows: LatencyWindows::new(),
@@ -486,35 +488,10 @@ impl EngineObs {
         self.registry.snapshot()
     }
 
-    /// The retained per-query traces, oldest first.
-    #[must_use]
-    pub fn traces(&self) -> Vec<TraceRecord> {
-        self.traces.snapshot()
-    }
-
-    /// Removes and returns the retained traces, oldest first.
-    #[must_use]
-    pub fn drain_traces(&self) -> Vec<TraceRecord> {
-        self.traces.drain()
-    }
-
-    /// How many traces the ring has evicted so far.
-    #[must_use]
-    pub fn dropped_traces(&self) -> u64 {
-        self.traces.dropped()
-    }
-
     /// The configured slow-query threshold, seconds.
     #[must_use]
     pub fn slow_query_threshold_s(&self) -> f64 {
         self.slow_threshold_s
-    }
-
-    /// A handle onto the live trace ring (clones share storage), for
-    /// serving `/debug/traces` without copying on registration.
-    #[must_use]
-    pub fn trace_ring(&self) -> TraceRing {
-        self.traces.clone()
     }
 
     /// Rolling-window latency summary as a JSON object: end-to-end rate and
@@ -548,40 +525,25 @@ impl EngineObs {
         )
     }
 
-    fn tracing(&self) -> bool {
-        self.traces.capacity() > 0
-    }
-
     /// Whether this query should carry a live span tree. False whenever
     /// sampling is disabled (`span_sample_every == 0`).
     fn sample_spans(&self) -> bool {
         self.span_sampler.sample()
     }
 
-    /// Records one finished query: aggregate metrics always, a trace record
-    /// when tracing is on. A sampled query's span capture stamps the phase
-    /// histograms with exemplar span ids and rides into the trace record; a
-    /// *slow* unsampled query gets a synthetic tree rebuilt from the phase
-    /// timings already measured (zero extra clock reads), so every slow
-    /// trace carries a complete causal tree.
-    /// Returns the query id it assigned when a trace record was pushed
-    /// (0 when tracing is off), so the caller can stamp the same id onto
-    /// the query's audit record.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one finished query's aggregate metrics and returns whether
+    /// it was slow. A sampled query's span capture stamps the phase
+    /// histograms with exemplar span ids.
     fn record_query(
         &self,
-        query: &Trajectory,
         run: &LocalRun,
         global_s: f64,
         refine_s: f64,
         total_s: f64,
-        globals: &[GlobalRoute],
-        tally: Option<&CacheTally>,
-        capture: Option<SpanCapture>,
-        trace_id: u64,
-    ) -> u64 {
+        capture: Option<&SpanCapture>,
+    ) -> bool {
         self.queries.inc();
-        match &capture {
+        match capture {
             Some(cap) => {
                 self.phase_candidates
                     .observe_with_exemplar(run.candidates_s, cap.candidates);
@@ -613,47 +575,7 @@ impl EngineObs {
         } else {
             self.slo_good.inc();
         }
-        let Some(tally) = tally else { return 0 };
-        let (root_span, spans) = match capture {
-            Some(cap) => (cap.root, cap.spans),
-            None if slow => synthetic_tree(
-                "query",
-                total_s,
-                &[
-                    ("candidates", run.candidates_s),
-                    ("local", run.local_s),
-                    ("global", global_s),
-                    ("refine", refine_s),
-                ],
-            ),
-            None => (0, Vec::new()),
-        };
-        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let rec = TraceRecord {
-            trace_id,
-            query_id,
-            points: query.len(),
-            pairs: query.len().saturating_sub(1),
-            candidates: run.candidates_total,
-            routes: globals.len(),
-            top_log_score: globals.first().map(|g| g.log_score),
-            candidates_s: run.candidates_s,
-            local_s: run.local_s,
-            global_s,
-            refine_s,
-            total_s,
-            sp_hits: tally.sp_hits.load(Ordering::Relaxed),
-            sp_misses: tally.sp_misses.load(Ordering::Relaxed),
-            cand_hits: tally.cand_hits.load(Ordering::Relaxed),
-            cand_misses: tally.cand_misses.load(Ordering::Relaxed),
-            slow,
-            root_span,
-            spans,
-        };
-        if self.traces.push(rec) {
-            self.traces_dropped.inc();
-        }
-        query_id
+        slow
     }
 
     /// Records a non-clean [`QueryOutcome`]. Clean queries are counted by
@@ -721,9 +643,10 @@ pub(crate) struct EngineCore {
     /// precomputed state, miss = ran Dijkstra.
     sp_lookups: PairedCounter,
     obs: Option<EngineObs>,
-    /// The explain/audit ring, present iff `cfg.explain.enabled` — the
-    /// `Option` is the zero-overhead gate for the disabled path.
-    audits: Option<AuditRing>,
+    /// The query log ([`EngineConfig::query_log`]), present iff tracing or
+    /// explain is on — the `Option` is the zero-overhead gate for the
+    /// disabled path.
+    traces: Option<TraceRing>,
 }
 
 impl EngineCore {
@@ -731,17 +654,14 @@ impl EngineCore {
         let cand_counters = MemoCounters::default();
         let sp_lookups = PairedCounter::new();
         let obs = registry.map(|r| EngineObs::new(r, &cfg.obs, sp_lookups.clone(), &cand_counters));
-        let audits = cfg
-            .explain
-            .enabled
-            .then(|| AuditRing::new(cfg.explain.audit_capacity));
+        let traces = cfg.query_log();
         EngineCore {
             cfg,
             cand_memo: RwLock::new(HashMap::new()),
             cand_counters,
             sp_lookups,
             obs,
-            audits,
+            traces,
         }
     }
 
@@ -851,95 +771,93 @@ impl EngineCore {
         self.obs.as_ref()
     }
 
-    /// The explain/audit ring, when explain is enabled.
-    pub(crate) fn audits(&self) -> Option<&AuditRing> {
-        self.audits.as_ref()
+    /// The query log, when tracing or explain is on.
+    pub(crate) fn trace_ring(&self) -> Option<&TraceRing> {
+        self.traces.as_ref()
     }
 
-    /// Mints a process-unique trace id when some identity consumer —
-    /// per-query tracing or the explain layer — is switched on; 0 (the
+    /// Mints a process-unique trace id when the query log is kept; 0 (the
     /// "untraced" id) otherwise, so the fully disabled path performs not
     /// even the atomic increment.
     pub(crate) fn mint_trace_id(&self) -> u64 {
-        let tracing = self.obs.as_ref().is_some_and(EngineObs::tracing);
-        if tracing || self.audits.is_some() {
+        if self.traces.is_some() {
             hris_obs::next_trace_id()
         } else {
             0
         }
     }
 
-    /// The identity/counts preamble of one audit document. Candidate
-    /// counts re-probe the per-position memo, so filling an audit does not
-    /// perturb the inference it explains.
-    fn base_audit(
+    /// Files one query's record in the query log (a no-op without one).
+    /// The record takes the log's next query id; with explain on, `audit`
+    /// is built, stamped with the same id and rendered into the record.
+    /// An eviction counts on `hris_engine_traces_dropped_total`.
+    fn log_query(&self, mut rec: TraceRecord, audit: impl FnOnce() -> QueryAudit) {
+        let Some(log) = &self.traces else { return };
+        rec.query_id = log.next_query_id();
+        if self.cfg.explain.enabled {
+            let mut audit = audit();
+            audit.query_id = rec.query_id;
+            rec.audit = Some(audit.to_json());
+        }
+        if log.push(rec) {
+            if let Some(obs) = &self.obs {
+                obs.traces_dropped.inc();
+            }
+        }
+    }
+
+    /// The audit of an answered query: candidate counts per point (a
+    /// re-probe of the per-position memo, so filling an audit does not
+    /// perturb the inference it explains), local routes per pair, and the
+    /// top returned routes explained.
+    fn answered_audit(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         trace_id: u64,
-        query_id: u64,
-        locals: &[LocalInferenceResult],
-    ) -> QueryAudit {
-        let mut audit = QueryAudit::new(trace_id, query_id);
-        audit.points = query.len();
-        audit.pairs = query.len().saturating_sub(1);
-        audit.candidates_per_point = query
-            .points
-            .iter()
-            .map(|p| self.candidates(ctx, p.pos, None).len())
-            .collect();
-        audit.local_routes_per_pair = locals.iter().map(|l| l.routes.len()).collect();
-        audit.scorer = if self.rerank_model().is_some() {
-            "learned"
-        } else {
-            "paper"
-        }
-        .to_string();
-        audit
-    }
-
-    /// Explains the top returned routes (capped at
-    /// `explain.top_k_routes`) into the audit: paper score components,
-    /// feature vector, and — when re-ranking is configured — the model's
-    /// score and per-feature attributions.
-    fn explain_routes(
-        &self,
-        ctx: EngineCtx<'_>,
         locals: &[LocalInferenceResult],
         k: usize,
         globals: &[GlobalRoute],
-        audit: &mut QueryAudit,
-    ) {
-        let sctx = ScoringCtx::new(ctx.net, locals, k);
+    ) -> QueryAudit {
         let rerank = self.rerank_model();
-        audit.routes = globals
-            .iter()
-            .take(self.cfg.explain.top_k_routes)
-            .enumerate()
-            .map(|(rank, g)| {
-                RouteExplanation::explain(
-                    &sctx,
-                    g,
-                    rank,
-                    ctx.params.entropy_floor,
-                    ctx.params.popularity_model,
-                    rerank,
-                )
-            })
-            .collect();
+        let mut audit = QueryAudit {
+            trace_id,
+            points: query.len(),
+            pairs: query.len().saturating_sub(1),
+            outcome: "served".to_string(),
+            candidates_per_point: query
+                .points
+                .iter()
+                .map(|p| self.candidates(ctx, p.pos, None).len())
+                .collect(),
+            local_routes_per_pair: locals.iter().map(|l| l.routes.len()).collect(),
+            scorer: if rerank.is_some() { "learned" } else { "paper" }.to_string(),
+            ..QueryAudit::default()
+        };
+        audit.explain_routes(
+            &ScoringCtx::new(ctx.net, locals, k),
+            globals,
+            self.cfg.explain.top_k_routes,
+            ctx.params,
+            rerank,
+        );
+        audit
     }
 
-    /// Audits an admission-control shed (no inference ran, so the document
-    /// is identity + the shed event).
-    pub(crate) fn record_shed_audit(&self, points: usize, trace_id: u64) {
-        let Some(ring) = &self.audits else { return };
-        let mut audit = QueryAudit::new(trace_id, 0);
-        audit.points = points;
-        audit.pairs = points.saturating_sub(1);
-        audit.outcome = "shed".to_string();
-        audit.scorer = "none".to_string();
-        audit.push_event("admission: waiting room full, query shed");
-        let _ = ring.push(audit.into_record());
+    /// Records an admission-control shed: counted on the registry, filed
+    /// in the query log with a routes-free audit.
+    pub(crate) fn record_shed(&self, points: usize, trace_id: u64) {
+        if let Some(obs) = &self.obs {
+            obs.record_shed();
+        }
+        self.log_query(untimed_record(trace_id, points, &[]), || {
+            QueryAudit::event_only(
+                trace_id,
+                points,
+                "shed",
+                "admission: waiting room full, query shed".to_string(),
+            )
+        });
     }
 
     pub(crate) fn cache_stats(&self) -> EngineCacheStats {
@@ -1025,8 +943,8 @@ impl EngineCore {
     ///
     /// The query runs under a caller-minted trace id — the delegation seam
     /// of distributed tracing: a sharded router mints one id at its routing
-    /// decision and threads it here, so the shard's trace and audit records
-    /// join the router's stitched tree. `pairs_fan_out` lets the query fan
+    /// decision and threads it here, so the shard's record joins the
+    /// router's stitched tree. `pairs_fan_out` lets the query fan
     /// its pairs out once it has [`PAIR_FANOUT_MIN_PAIRS`] of them; a batch
     /// worker passes `false`.
     pub(crate) fn infer_query_traced(
@@ -1051,7 +969,7 @@ impl EngineCore {
             // empty answer from an empty question.
             return self.reject(query, trace_id, RejectReason::EmptyQuery);
         }
-        if self.query_is_valid(query) {
+        if self.cfg.validation.limits.is_clean(query) {
             let (globals, stats) = self.infer_detailed(ctx, query, k, pairs_fan_out, trace_id);
             return QueryResult {
                 globals,
@@ -1080,14 +998,9 @@ impl EngineCore {
         if let Some(obs) = &self.obs {
             obs.record_outcome(&outcome);
         }
-        if let Some(ring) = &self.audits {
-            let mut audit = self.base_audit(ctx, &repaired, trace_id, 0, &locals);
-            audit.outcome = if pairs_fell_back > 0 {
-                "degraded"
-            } else {
-                "repaired"
-            }
-            .to_string();
+        self.log_query(untimed_record(trace_id, repaired.len(), &globals), || {
+            let mut audit = self.answered_audit(ctx, &repaired, trace_id, &locals, k, &globals);
+            audit.outcome = outcome.label().to_string();
             audit.push_event(format!(
                 "repair: sanitization dropped {} of {} points",
                 repairs.points_dropped(),
@@ -1098,9 +1011,8 @@ impl EngineCore {
                     "degraded: {pairs_fell_back} pairs fell back along the repair chain"
                 ));
             }
-            self.explain_routes(ctx, &locals, k, &globals, &mut audit);
-            let _ = ring.push(audit.into_record());
-        }
+            audit
+        });
         QueryResult {
             globals,
             stats,
@@ -1113,36 +1025,19 @@ impl EngineCore {
         if let Some(obs) = &self.obs {
             obs.record_outcome(&outcome);
         }
-        if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::new(trace_id, 0);
-            audit.points = query.len();
-            audit.pairs = query.len().saturating_sub(1);
-            audit.outcome = "rejected".to_string();
-            audit.scorer = "none".to_string();
-            audit.push_event(format!("rejected: {reason:?}"));
-            let _ = ring.push(audit.into_record());
-        }
+        self.log_query(untimed_record(trace_id, query.len(), &[]), || {
+            QueryAudit::event_only(
+                trace_id,
+                query.len(),
+                "rejected",
+                format!("rejected: {reason:?}"),
+            )
+        });
         QueryResult {
             globals: Vec::new(),
             stats: Vec::new(),
             outcome,
         }
-    }
-
-    /// The engine's input contract: finite coordinates and timestamps,
-    /// magnitudes within [`ValidationOptions::limits`], timestamps
-    /// non-decreasing. Duplicate timestamps and large (but in-range) jumps
-    /// are *valid* — they are data, not corruption.
-    ///
-    /// [`ValidationOptions::limits`]: crate::params::ValidationOptions
-    fn query_is_valid(&self, query: &Trajectory) -> bool {
-        let lim = &self.cfg.validation.limits;
-        query.validate().is_ok()
-            && query.points.iter().all(|p| {
-                p.pos.x.abs() <= lim.max_abs_coord_m
-                    && p.pos.y.abs() <= lim.max_abs_coord_m
-                    && p.t.abs() <= lim.max_abs_time_s
-            })
     }
 
     /// Phases 1–3 for a repaired query. Unlike the clean path this runs each
@@ -1221,12 +1116,13 @@ impl EngineCore {
             let run = self.local_inference_run(ctx, query, pairs_fan_out, None, false, None);
             let stats = run.locals.iter().map(|l| l.stats.clone()).collect();
             let globals = self.score_globals(ctx, &run.locals, k);
-            if let Some(ring) = &self.audits {
-                let mut audit = self.base_audit(ctx, query, trace_id, 0, &run.locals);
-                audit.outcome = "served".to_string();
-                self.explain_routes(ctx, &run.locals, k, &globals, &mut audit);
-                let _ = ring.push(audit.into_record());
-            }
+            let rec = TraceRecord {
+                candidates: run.candidates_total,
+                ..untimed_record(trace_id, query.len(), &globals)
+            };
+            self.log_query(rec, || {
+                self.answered_audit(ctx, query, trace_id, &run.locals, k, &globals)
+            });
             return (globals, stats);
         };
 
@@ -1242,7 +1138,7 @@ impl EngineCore {
         let spanctx = collector.as_ref().map(|c| (c, root_id));
 
         let t_query = clock::now();
-        let tally = obs.tracing().then(CacheTally::default);
+        let tally = self.traces.is_some().then(CacheTally::default);
         let run =
             self.local_inference_run(ctx, query, pairs_fan_out, tally.as_ref(), true, spanctx);
 
@@ -1291,22 +1187,44 @@ impl EngineCore {
             refine: refine_span_id,
             spans: c.into_spans(),
         });
-        let query_id = obs.record_query(
-            query,
-            &run,
-            global_s,
-            refine_s,
-            total_s,
-            &globals,
-            tally.as_ref(),
-            capture,
-            trace_id,
-        );
-        if let Some(ring) = &self.audits {
-            let mut audit = self.base_audit(ctx, query, trace_id, query_id, &run.locals);
-            audit.outcome = "served".to_string();
-            self.explain_routes(ctx, &run.locals, k, &globals, &mut audit);
-            let _ = ring.push(audit.into_record());
+        let slow = obs.record_query(&run, global_s, refine_s, total_s, capture.as_ref());
+        if let Some(tally) = tally {
+            // A slow unsampled query gets a synthetic tree rebuilt from the
+            // phase timings already measured (zero extra clock reads), so
+            // every slow record carries a complete causal tree.
+            let (root_span, spans) = match capture {
+                Some(cap) => (cap.root, cap.spans),
+                None if slow => synthetic_tree(
+                    "query",
+                    total_s,
+                    &[
+                        ("candidates", run.candidates_s),
+                        ("local", run.local_s),
+                        ("global", global_s),
+                        ("refine", refine_s),
+                    ],
+                ),
+                None => (0, Vec::new()),
+            };
+            let rec = TraceRecord {
+                candidates: run.candidates_total,
+                candidates_s: run.candidates_s,
+                local_s: run.local_s,
+                global_s,
+                refine_s,
+                total_s,
+                sp_hits: tally.sp_hits.load(Ordering::Relaxed),
+                sp_misses: tally.sp_misses.load(Ordering::Relaxed),
+                cand_hits: tally.cand_hits.load(Ordering::Relaxed),
+                cand_misses: tally.cand_misses.load(Ordering::Relaxed),
+                slow,
+                root_span,
+                spans,
+                ..untimed_record(trace_id, query.len(), &globals)
+            };
+            self.log_query(rec, || {
+                self.answered_audit(ctx, query, trace_id, &run.locals, k, &globals)
+            });
         }
         (globals, stats)
     }
@@ -1471,6 +1389,19 @@ impl EngineCore {
             CacheTally::bump(&t.sp_misses);
         }
         oracle.route_between(a, b, CostModel::Distance)
+    }
+}
+
+/// The record of one query before timings: identity, sizes and the top
+/// route's score. `query_id` is left for the log to assign.
+fn untimed_record(trace_id: u64, points: usize, globals: &[GlobalRoute]) -> TraceRecord {
+    TraceRecord {
+        trace_id,
+        points,
+        pairs: points.saturating_sub(1),
+        routes: globals.len(),
+        top_log_score: globals.first().map(|g| g.log_score),
+        ..TraceRecord::default()
     }
 }
 
@@ -1650,6 +1581,7 @@ mod tests {
         let (net, queries) = sparse_setup();
         let plain = handle(&net, EngineConfig::default());
         assert!(plain.observability().is_none());
+        assert!(plain.trace_ring().is_none(), "the default keeps no log");
 
         let observed = handle(
             &net,
@@ -1663,6 +1595,7 @@ mod tests {
             Some(queries.len() as u64)
         );
         assert_eq!(snap.counter("hris_engine_batches_total"), Some(1));
-        assert_eq!(obs.traces().len(), queries.len());
+        let log = observed.trace_ring().expect("tracing keeps a log");
+        assert_eq!(log.snapshot().len(), queries.len());
     }
 }

@@ -32,8 +32,8 @@ use crate::engine::{
 use crate::local::LocalInferenceResult;
 use crate::params::{EngineConfig, HrisParams};
 use hris_obs::{
-    Admission, AdmissionGate, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState,
-    SpanCollector,
+    Admission, AdmissionGate, Health, MetricsRegistry, MetricsServer, ServeState, SpanCollector,
+    TraceRing,
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{ArchiveSnapshot, SnapshotReader, TrajectoryArchive};
@@ -278,12 +278,15 @@ impl EngineHandle {
         self.core.observability()
     }
 
-    /// The explain/audit ring, when [`ExplainOptions`](crate::params::ExplainOptions)
-    /// enabled it. The returned handle shares storage with the engine's
-    /// ring, so a router can pull shard-side audits by trace id.
+    /// The engine's query log — one [`TraceRecord`](hris_obs::TraceRecord)
+    /// per query, carrying timings when tracing and the rendered
+    /// [`QueryAudit`](crate::QueryAudit) when explaining — or `None` when
+    /// neither is on ([`EngineConfig::query_log`]). The returned handle
+    /// shares storage with the engine's log, so a router can pull a
+    /// shard-side audit by trace id.
     #[must_use]
-    pub fn audit_ring(&self) -> Option<AuditRing> {
-        self.core.audits().cloned()
+    pub fn trace_ring(&self) -> Option<TraceRing> {
+        self.core.trace_ring().cloned()
     }
 
     /// Current cache counters (cumulative across epochs — invalidation
@@ -301,14 +304,10 @@ impl EngineHandle {
         self.gate.as_ref()
     }
 
-    /// Builds the empty result an admission shed returns, counting it on
-    /// the way out (`n` queries' worth — a shed batch counts each query).
-    fn shed_result(&self, n: usize) -> QueryResult {
-        if let Some(obs) = self.core.observability() {
-            for _ in 0..n {
-                obs.record_shed();
-            }
-        }
+    /// Builds the empty result an admission shed returns, counting and
+    /// logging the shed query on the way out.
+    fn shed_result(&self, points: usize, trace_id: u64) -> QueryResult {
+        self.core.record_shed(points, trace_id);
         QueryResult {
             globals: Vec::new(),
             stats: Vec::new(),
@@ -319,7 +318,7 @@ impl EngineHandle {
     }
 
     /// One query through the validation screen against the current epoch:
-    /// answer plus its [`QueryOutcome`](crate::QueryOutcome).
+    /// answer plus its [`QueryOutcome`].
     ///
     /// With admission control enabled the query first passes the gate:
     /// it may wait in the bounded waiting room, and when that is full
@@ -340,7 +339,8 @@ impl EngineHandle {
     /// then stitches them into one tree. Passing `trace_id = 0` records the
     /// query as untraced.
     ///
-    /// An admission shed still records a `"shed"` audit under the given id.
+    /// An admission shed still files a record (with a `"shed"` audit) under
+    /// the given id.
     #[must_use]
     pub fn infer_query_with_trace(
         &self,
@@ -349,10 +349,7 @@ impl EngineHandle {
         trace_id: u64,
     ) -> QueryResult {
         let _permit = match self.gate.as_ref().map(AdmissionGate::admit) {
-            Some(Admission::Shed) => {
-                self.core.record_shed_audit(query.len(), trace_id);
-                return self.shed_result(1);
-            }
+            Some(Admission::Shed) => return self.shed_result(query.len(), trace_id),
             Some(Admission::Admitted(p)) => Some(p),
             None => None,
         };
@@ -380,11 +377,7 @@ impl EngineHandle {
             Some(Admission::Shed) => {
                 return queries
                     .iter()
-                    .map(|q| {
-                        self.core
-                            .record_shed_audit(q.len(), self.core.mint_trace_id());
-                        self.shed_result(1)
-                    })
+                    .map(|q| self.shed_result(q.len(), self.core.mint_trace_id()))
                     .collect();
             }
             Some(Admission::Admitted(p)) => Some(p),
@@ -447,8 +440,9 @@ impl EngineHandle {
     /// The server exposes `/metrics` (Prometheus text), `/healthz` (flips
     /// unhealthy when [`EngineHandle::snapshot_age_seconds`] exceeds
     /// [`ObsOptions::staleness_bound_s`](crate::ObsOptions)), `/varz`
-    /// (JSON metrics + rolling latency windows) and `/debug/traces` +
-    /// `/debug/slow`. Each `/metrics` scrape refreshes the
+    /// (JSON metrics + rolling latency windows), and `/debug/traces`,
+    /// `/debug/slow` and `/debug/explain/<trace_id>` from the query log
+    /// ([`EngineHandle::trace_ring`]). Each `/metrics` scrape refreshes the
     /// `hris_snapshot_age_seconds` watchdog gauge first.
     ///
     /// # Errors
@@ -476,7 +470,6 @@ impl EngineHandle {
         let on_health = Arc::clone(self);
         let on_varz = Arc::clone(self);
         let mut state = ServeState::new(Arc::clone(&registry))
-            .with_traces(obs.trace_ring())
             .pre_scrape(move || {
                 // The gauge is integral; health checks below use the exact
                 // float so sub-second staleness bounds stay testable.
@@ -497,6 +490,9 @@ impl EngineHandle {
                     .observability()
                     .map_or_else(|| "null".to_string(), EngineObs::rolling_latency_json)
             });
+        if let Some(log) = self.trace_ring() {
+            state = state.with_traces(log);
+        }
         if let Some(gate) = &self.gate {
             let inflight_gauge = registry.gauge(
                 "hris_admission_inflight",

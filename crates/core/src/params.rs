@@ -1,5 +1,6 @@
 //! HRIS parameters (Table II of the paper).
 
+use hris_obs::TraceRing;
 use hris_traj::SanitizeLimits;
 use serde::{Deserialize, Serialize};
 
@@ -161,16 +162,19 @@ impl Default for HrisParams {
 /// Disabled (the default), the engine performs **zero** clock reads and zero
 /// metric updates on the hot path; enabled, it records per-phase wall times,
 /// queue/worker gauges and cache counters on a
-/// [`MetricsRegistry`](hris_obs::MetricsRegistry), plus an opt-in per-query
-/// trace ring. Like the rest of [`EngineConfig`], none of these options may
-/// change any inferred route — they only spend a little time on visibility.
+/// [`MetricsRegistry`](hris_obs::MetricsRegistry), plus one timed
+/// [`TraceRecord`](hris_obs::TraceRecord) per query in the engine's query
+/// log ([`EngineConfig::query_log`]). Like the rest of [`EngineConfig`],
+/// none of these options may change any inferred route — they only spend a
+/// little time on visibility.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObsOptions {
     /// Master switch for engine instrumentation.
     pub enabled: bool,
-    /// How many per-query [`TraceRecord`](hris_obs::TraceRecord)s the engine
-    /// retains (oldest dropped first); `0` disables tracing while keeping
-    /// the aggregate metrics.
+    /// How many per-query [`TraceRecord`](hris_obs::TraceRecord)s the query
+    /// log retains (oldest dropped first) — the one retention bound for
+    /// traces and audits alike. `0` disables tracing while keeping the
+    /// aggregate metrics, and is refused when explain is on.
     pub trace_capacity: usize,
     /// Queries slower than this wall time (seconds) are flagged `slow` in
     /// their trace and counted on `hris_engine_slow_queries_total`.
@@ -293,22 +297,22 @@ pub struct RerankOptions {
 /// Off by default: the engine then performs zero extra work per query —
 /// the disabled path stays byte-identical to the pre-explain engine and
 /// keeps the zero-clock-read guarantee (both test-enforced). Enabled, each
-/// query additionally records a structured [`QueryAudit`](crate::QueryAudit)
-/// — candidate counts per point, the top-K routes with their paper score
+/// query's record in the query log ([`EngineConfig::query_log`])
+/// additionally carries a structured [`QueryAudit`](crate::QueryAudit) —
+/// candidate counts per point, the top-K routes with their paper score
 /// components, the rerank feature vector with per-feature attributions, and
-/// any fallback/repair/shed events — into a bounded
-/// [`AuditRing`](hris_obs::AuditRing) keyed by trace id, served from
+/// any fallback/repair/shed events — as
+/// [`TraceRecord::audit`](hris_obs::TraceRecord), served from
 /// `/debug/explain/<trace_id>` and exportable via
-/// `experiments --audit-out`. Like observability, explain may never change
-/// an inferred route.
+/// `experiments --audit-out`. The log keeps
+/// [`ObsOptions::trace_capacity`] records, which must be ≥ 1 (validated at
+/// build time). Explain does not need observability: without it the
+/// records carry counts and the audit, but no timings and no clock reads.
+/// Like observability, explain may never change an inferred route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExplainOptions {
     /// Master switch; off means no audits and no per-query overhead.
     pub enabled: bool,
-    /// How many [`AuditRecord`](hris_obs::AuditRecord)s the ring retains
-    /// (oldest dropped first). Must be ≥ 1 when enabled (validated at
-    /// build time).
-    pub audit_capacity: usize,
     /// How many of the returned routes get a full per-route explanation
     /// (score components + rerank attributions) in each audit.
     pub top_k_routes: usize,
@@ -318,7 +322,6 @@ impl Default for ExplainOptions {
     fn default() -> Self {
         ExplainOptions {
             enabled: false,
-            audit_capacity: 256,
             top_k_routes: 3,
         }
     }
@@ -356,6 +359,17 @@ impl EngineConfig {
         EngineConfigBuilder::default()
     }
 
+    /// A new, empty query log for a front serving this configuration: the
+    /// one bounded [`TraceRing`] its per-query records (timings when
+    /// tracing, audits when explaining) go into. Present iff tracing
+    /// (`obs.enabled` with a nonzero `obs.trace_capacity`) or explain is
+    /// on; `None` is the zero-overhead gate of the disabled path.
+    #[must_use]
+    pub fn query_log(&self) -> Option<TraceRing> {
+        let tracing = self.obs.enabled && self.obs.trace_capacity > 0;
+        (tracing || self.explain.enabled).then(|| TraceRing::new(self.obs.trace_capacity))
+    }
+
     /// The default configuration with input validation switched off
     /// (trust-the-caller mode; the pre-robustness contract).
     #[must_use]
@@ -384,8 +398,8 @@ pub enum ConfigError {
     ZeroAdmissionSlots,
     /// Re-ranking was enabled without a model to rank with.
     RerankWithoutModel,
-    /// Explain was enabled with `audit_capacity == 0` — a ring that keeps
-    /// nothing would silently drop every audit.
+    /// Explain was enabled with `obs.trace_capacity == 0` — a query log
+    /// that keeps nothing would silently drop every audit.
     ZeroAuditCapacity,
     /// The supplied re-ranking model is structurally invalid: wrong
     /// dimensions, non-finite parameters, or non-positive scales.
@@ -409,7 +423,7 @@ impl std::fmt::Display for ConfigError {
                 f.write_str("re-ranking needs a model (pass one to rerank())")
             }
             ConfigError::ZeroAuditCapacity => {
-                f.write_str("explain needs audit_capacity >= 1 to retain any audit")
+                f.write_str("explain needs trace_capacity >= 1 to retain any audit")
             }
             ConfigError::InvalidRerankModel => f.write_str(
                 "re-ranking model is invalid: expect NUM_FEATURES weights/means/scales, \
@@ -451,8 +465,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// How many per-query trace records to retain (`0` keeps aggregate
-    /// metrics but disables tracing).
+    /// How many per-query records the query log retains, for traces and
+    /// audits alike (`0` keeps aggregate metrics but disables tracing, and
+    /// is refused with explain on).
     #[must_use]
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.cfg.obs.trace_capacity = capacity;
@@ -546,12 +561,12 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables per-query explain/audit capture. `audit_capacity` must be
-    /// ≥ 1 (validated at build time).
+    /// Master switch for per-query explain/audit capture. The audits share
+    /// the query log's [`trace_capacity`](Self::trace_capacity) bound,
+    /// which must then be ≥ 1 (validated at build time).
     #[must_use]
-    pub fn explain(mut self, audit_capacity: usize) -> Self {
-        self.cfg.explain.enabled = true;
-        self.cfg.explain.audit_capacity = audit_capacity;
+    pub fn explain(mut self, on: bool) -> Self {
+        self.cfg.explain.enabled = on;
         self
     }
 
@@ -560,14 +575,6 @@ impl EngineConfigBuilder {
     #[must_use]
     pub fn explain_top_k(mut self, routes: usize) -> Self {
         self.cfg.explain.top_k_routes = routes;
-        self
-    }
-
-    /// Disables explain/audit capture (the default: no audits, zero
-    /// per-query overhead).
-    #[must_use]
-    pub fn without_explain(mut self) -> Self {
-        self.cfg.explain.enabled = false;
         self
     }
 
@@ -596,7 +603,7 @@ impl EngineConfigBuilder {
                 Some(_) => {}
             }
         }
-        if self.cfg.explain.enabled && self.cfg.explain.audit_capacity == 0 {
+        if self.cfg.explain.enabled && self.cfg.obs.trace_capacity == 0 {
             return Err(ConfigError::ZeroAuditCapacity);
         }
         Ok(self.cfg)
@@ -712,24 +719,47 @@ mod tests {
     #[test]
     fn builder_validates_explain_options() {
         let cfg = EngineConfig::builder()
-            .explain(64)
+            .explain(true)
+            .trace_capacity(64)
             .explain_top_k(5)
             .build()
             .expect("valid explain configuration");
         assert!(cfg.explain.enabled);
-        assert_eq!(cfg.explain.audit_capacity, 64);
         assert_eq!(cfg.explain.top_k_routes, 5);
+        let log = cfg.query_log().expect("explain keeps a query log");
+        assert_eq!(log.capacity(), 64);
         assert_eq!(
-            EngineConfig::builder().explain(0).build().unwrap_err(),
+            EngineConfig::builder()
+                .explain(true)
+                .trace_capacity(0)
+                .build()
+                .unwrap_err(),
             ConfigError::ZeroAuditCapacity
         );
         assert!(!ConfigError::ZeroAuditCapacity.to_string().is_empty());
         let cfg = EngineConfig::builder()
-            .explain(0)
-            .without_explain()
+            .explain(true)
+            .trace_capacity(0)
+            .explain(false)
             .build()
             .expect("disabled explain skips capacity validation");
         assert!(!cfg.explain.enabled);
+    }
+
+    #[test]
+    fn query_log_exists_iff_tracing_or_explain_is_on() {
+        let log = |obs: bool, capacity: usize, explain: bool| {
+            let mut cfg = EngineConfig::default();
+            cfg.obs.enabled = obs;
+            cfg.obs.trace_capacity = capacity;
+            cfg.explain.enabled = explain;
+            cfg.query_log().map(|r| r.capacity())
+        };
+        assert_eq!(log(false, 256, false), None, "the default keeps no log");
+        assert_eq!(log(true, 0, false), None, "aggregates only");
+        assert_eq!(log(true, 8, false), Some(8));
+        assert_eq!(log(false, 8, true), Some(8), "explain without obs");
+        assert_eq!(log(true, 8, true), Some(8), "one log for both");
     }
 
     #[test]

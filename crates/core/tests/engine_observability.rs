@@ -113,7 +113,7 @@ fn traces_attribute_cache_traffic_exactly() {
     let _ = engine.infer_batch_detailed(&queries, 2);
 
     let obs = engine.observability().unwrap();
-    let traces = obs.traces();
+    let traces = engine.trace_ring().expect("tracing is on").snapshot();
     assert_eq!(traces.len(), queries.len());
     for (t, q) in traces.iter().zip(&queries) {
         assert_eq!(t.points, q.len());
@@ -169,7 +169,8 @@ fn slow_query_threshold_flags_and_counts() {
     let engine = serving(&hris, cfg);
     let _ = engine.infer_batch_detailed(&queries, 2);
     let obs = engine.observability().unwrap();
-    assert!(obs.traces().iter().all(|t| t.slow));
+    let traces = engine.trace_ring().expect("tracing is on").snapshot();
+    assert!(traces.iter().all(|t| t.slow));
     assert_eq!(
         obs.snapshot().counter("hris_engine_slow_queries_total"),
         Some(queries.len() as u64)
@@ -194,9 +195,10 @@ fn trace_ring_evicts_oldest_and_counts_drops() {
         let _ = engine.infer_query(q, 2);
     }
     let obs = engine.observability().unwrap();
-    let traces = obs.traces();
+    let log = engine.trace_ring().expect("tracing is on");
+    let traces = log.snapshot();
     assert_eq!(traces.len(), 2);
-    assert_eq!(obs.dropped_traces(), 1);
+    assert_eq!(log.dropped(), 1);
     // Sequential queries → the two *newest* survive.
     assert_eq!(traces[0].query_id, 1);
     assert_eq!(traces[1].query_id, 2);
@@ -205,8 +207,8 @@ fn trace_ring_evicts_oldest_and_counts_drops() {
         Some(1)
     );
     // Draining empties the ring but keeps the metrics.
-    assert_eq!(obs.drain_traces().len(), 2);
-    assert!(obs.traces().is_empty());
+    assert_eq!(log.drain().len(), 2);
+    assert!(log.snapshot().is_empty());
     assert_eq!(
         obs.snapshot().counter("hris_engine_queries_total"),
         Some(queries.len() as u64)
@@ -227,7 +229,7 @@ fn zero_trace_capacity_keeps_aggregates_only() {
     let engine = serving(&hris, cfg);
     let _ = engine.infer_batch_detailed(&queries, 2);
     let obs = engine.observability().unwrap();
-    assert!(obs.traces().is_empty());
+    assert!(engine.trace_ring().is_none(), "no record is kept");
     assert_eq!(
         obs.snapshot().counter("hris_engine_queries_total"),
         Some(queries.len() as u64)
@@ -249,7 +251,7 @@ fn sampled_queries_carry_complete_span_trees() {
     let _ = engine.infer_batch_detailed(&queries, 2);
 
     let obs = engine.observability().unwrap();
-    let traces = obs.traces();
+    let traces = engine.trace_ring().expect("tracing is on").snapshot();
     assert_eq!(traces.len(), queries.len());
     for t in &traces {
         assert!(t.slow);
@@ -329,7 +331,7 @@ fn slow_unsampled_queries_get_synthetic_trees() {
     let _ = engine.infer_batch_detailed(&queries, 2);
 
     let obs = engine.observability().unwrap();
-    for t in &obs.traces() {
+    for t in &engine.trace_ring().expect("tracing is on").snapshot() {
         assert!(t.slow);
         assert_ne!(t.root_span, 0);
         assert_eq!(t.spans.len(), 5, "root + four phases");

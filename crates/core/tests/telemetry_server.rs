@@ -8,7 +8,8 @@
 //! * `/healthz` flips to 503 when the served snapshot outlives
 //!   `ObsOptions::staleness_bound_s`, and recovers on the next publish;
 //! * `/varz` embeds the rolling-latency windows and `/debug/slow` filters
-//!   to slow traces only.
+//!   to slow traces only;
+//! * `/debug/explain/<trace_id>` serves a logged query's audit document.
 
 use hris::{EngineConfig, EngineHandle, HrisParams};
 use hris_obs::{export, MetricsRegistry};
@@ -149,5 +150,58 @@ fn live_handle_serves_telemetry_and_tracks_staleness() {
     assert_eq!(code, 200);
     assert!(slow.contains("\"traces\":[]"), "{slow}");
 
+    server.shutdown();
+}
+
+#[test]
+fn explain_enabled_handle_serves_audits_by_trace_id() {
+    let net = net();
+    let cfg = EngineConfig::builder()
+        .observability(true)
+        .explain(true)
+        .build()
+        .unwrap();
+    let handle = Arc::new(EngineHandle::with_config(
+        Arc::clone(&net),
+        TrajectoryArchive::empty(),
+        HrisParams::default(),
+        cfg,
+    ));
+    let server = handle.serve_metrics("127.0.0.1:0").expect("bind server");
+    let addr = server.addr();
+
+    let _ = handle.infer_query(&query(0.0), 2);
+    let rec = handle
+        .trace_ring()
+        .expect("explain keeps a query log")
+        .snapshot()
+        .pop()
+        .expect("the query filed a record");
+    let audit = rec.audit.clone().expect("explain renders an audit");
+
+    let (code, body) = http_get(addr, &format!("/debug/explain/{}", rec.trace_id));
+    assert_eq!(code, 200);
+    assert_eq!(
+        body, audit,
+        "the endpoint serves the record's audit verbatim"
+    );
+    let v: serde_json::Value = serde_json::from_str(&body).expect("valid audit json");
+    assert_eq!(
+        v.get("trace_id").and_then(|t| t.as_u64()),
+        Some(rec.trace_id)
+    );
+    assert_eq!(v.get("outcome").and_then(|o| o.as_str()), Some("served"));
+
+    // The same audit rides inside the record on /debug/traces.
+    let (_, traces) = http_get(addr, "/debug/traces");
+    assert!(traces.contains(&format!("\"audit\":{audit}")), "{traces}");
+
+    let (code, _) = http_get(
+        addr,
+        &format!("/debug/explain/{}", rec.trace_id + 1_000_000),
+    );
+    assert_eq!(code, 404, "unknown trace id");
+    let (code, _) = http_get(addr, "/debug/explain/not-a-number");
+    assert_eq!(code, 404, "non-numeric trace id");
     server.shutdown();
 }

@@ -259,14 +259,9 @@ fn main() {
     if let Some(path) = &args.audit_out {
         let s = base.as_ref().expect("audit pass builds the base scenario");
         eprintln!("running explain-enabled audit pass ...");
-        let records = hris_eval::audit_hris(s, &hris::HrisParams::default(), 180.0, 3);
-        let body = records
-            .iter()
-            .map(|r| r.json.as_str())
-            .collect::<Vec<_>>()
-            .join(",");
-        std::fs::write(path, format!("[{body}]")).expect("write audit json");
-        eprintln!("wrote {path} ({} audit records)", records.len());
+        let audits = hris_eval::audit_hris(s, &hris::HrisParams::default(), 180.0, 3);
+        std::fs::write(path, format!("[{}]", audits.join(","))).expect("write audit json");
+        eprintln!("wrote {path} ({} audit records)", audits.len());
     }
 
     if let Some(dir) = &args.out {

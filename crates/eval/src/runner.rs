@@ -140,9 +140,9 @@ fn serving(
 pub struct ObsReport {
     /// Registry state at the end of the run.
     pub snapshot: MetricsSnapshot,
-    /// Per-query traces, oldest first (ring-bounded).
+    /// Per-query records, oldest first (bounded by the query log).
     pub traces: Vec<TraceRecord>,
-    /// Traces evicted from the ring during the run.
+    /// Records evicted from the query log during the run.
     pub traces_dropped: u64,
     /// Wall seconds of the whole batch, measured outside the engine.
     pub wall_s: f64,
@@ -292,30 +292,33 @@ pub fn evaluate_hris_observed(
     let per_query_s = wall_s / queries.len().max(1) as f64;
 
     let obs = engine.observability().expect("instrumented engine");
+    let log = engine.trace_ring().expect("tracing keeps a query log");
     let report = ObsReport {
         snapshot: obs.snapshot(),
-        traces: obs.traces(),
-        traces_dropped: obs.dropped_traces(),
+        traces: log.snapshot(),
+        traces_dropped: log.dropped(),
         wall_s,
     };
     (score_top1(scenario, &detailed, per_query_s), report)
 }
 
 /// Runs the base workload on an explain-enabled engine and returns the
-/// drained audit records — one JSON document per query, keyed by trace id
-/// (the `experiments --audit-out` pass).
+/// audit documents drained from its query log — one rendered JSON object
+/// per query, carrying its trace id (the `experiments --audit-out` pass).
 ///
-/// The ring is sized to the workload so no audit is evicted, and the engine
-/// answers the queries one at a time so record order matches query order.
+/// The log is sized to the workload so no record is evicted, and the
+/// engine answers the queries one at a time so audit order matches query
+/// order.
 #[must_use]
 pub fn audit_hris(
     scenario: &Scenario,
     params: &HrisParams,
     interval_s: f64,
     top_k_routes: usize,
-) -> Vec<hris::AuditRecord> {
+) -> Vec<String> {
     let cfg = EngineConfig::builder()
-        .explain(scenario.queries.len().max(1))
+        .explain(true)
+        .trace_capacity(scenario.queries.len().max(1))
         .explain_top_k(top_k_routes)
         .build()
         .expect("static engine configuration");
@@ -323,7 +326,8 @@ pub fn audit_hris(
     for q in &resampled(scenario, interval_s) {
         let _ = engine.infer_query(q, params.k3.max(1));
     }
-    engine.audit_ring().expect("explain-enabled engine").drain()
+    let log = engine.trace_ring().expect("explain keeps a query log");
+    log.drain().into_iter().filter_map(|r| r.audit).collect()
 }
 
 /// Per-query top-k accuracies for Figure 14a: returns `(avg, max)` accuracy

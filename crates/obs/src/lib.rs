@@ -11,9 +11,10 @@
 //!   atomic word so a snapshot of the pair is always mutually consistent).
 //! * [`PhaseTimer`] — an RAII wall-clock timer that records into a histogram
 //!   when dropped; one `Instant::now()` on start and one on stop.
-//! * [`TraceRecord`] / [`TraceRing`] — opt-in per-query traces (phase
-//!   durations, candidate counts, cache outcomes, route score) kept in a
-//!   bounded ring buffer with a slow-query flag.
+//! * [`TraceRecord`] / [`TraceRing`] — the one opt-in per-query record
+//!   (phase durations, candidate counts, cache outcomes, route score, a
+//!   slow-query flag and, when explain is on, the pre-rendered audit
+//!   document) and the bounded log that keeps it, keyed by trace id.
 //! * [`MetricsSnapshot`] — a point-in-time copy of the registry that renders
 //!   to Prometheus text exposition format or JSON.
 //! * [`Span`] / [`SpanCollector`] — sampled per-query span trees (phase
@@ -24,16 +25,13 @@
 //! * [`SlidingHistogram`] — a ring of fixed-bucket time epochs merged on
 //!   read, for rolling-window quantiles and rates.
 //! * [`serve`] — a zero-dependency blocking HTTP server exposing
-//!   `/metrics`, `/healthz`, `/varz` and `/debug/traces` + `/debug/slow`,
-//!   plus mountable prefix handlers for router-level debug endpoints
-//!   (`/debug/shards`, `/debug/explain/<trace_id>`).
+//!   `/metrics`, `/healthz`, `/varz`, and `/debug/traces`, `/debug/slow`
+//!   and `/debug/explain/<trace_id>` from one [`TraceRing`], plus mountable
+//!   prefix handlers for router-level debug endpoints (`/debug/shards`).
 //! * [`TraceContext`] / [`TraceAssembler`] — distributed-trace propagation:
 //!   a router mints a process-unique trace id at its routing decision,
 //!   threads it through delegation and scatter batches, and stitches every
 //!   stage's spans into one validated tree.
-//! * [`AuditRecord`] / [`AuditRing`] — opt-in per-query explain documents
-//!   (pre-rendered JSON, engine-defined schema) in a bounded ring keyed by
-//!   trace id.
 //! * [`clock`] — the counted monotonic clock every instrumented code path
 //!   reads through, making the zero-clock-read disabled-path contract
 //!   test-enforceable.
@@ -68,7 +66,6 @@
 
 pub mod admission;
 mod assemble;
-mod audit;
 pub mod clock;
 pub mod export;
 mod histogram;
@@ -81,7 +78,6 @@ mod trace;
 
 pub use admission::{Admission, AdmissionGate, AdmissionPermit};
 pub use assemble::{AssembleError, TraceAssembler};
-pub use audit::{AuditRecord, AuditRing};
 pub use export::MetricsSnapshot;
 pub use histogram::{Histogram, HistogramSnapshot, DEFAULT_TIME_BOUNDS, FINE_TIME_BOUNDS};
 pub use registry::{Counter, Gauge, MetricsRegistry, PairedCounter, SnapshotEntry, SnapshotValue};

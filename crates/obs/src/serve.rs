@@ -8,17 +8,20 @@
 //!
 //! | Path            | Content | Body |
 //! |-----------------|---------|------|
-//! | `/metrics`      | `text/plain; version=0.0.4` | Prometheus text, byte-identical to [`prometheus_text`](crate::export::prometheus_text) of the scrape-time snapshot |
+//! | `/metrics`      | `text/plain; version=0.0.4` | Prometheus text, byte-identical to [`prometheus_text`] of the scrape-time snapshot |
 //! | `/healthz`      | `application/json` | `{"status", "checks"}`; HTTP 503 when any check fails |
 //! | `/varz`         | `application/json` | uptime, full metrics snapshot, caller-provided sections (e.g. rolling quantiles) |
-//! | `/debug/traces` | `application/json` | the trace ring, span trees included |
-//! | `/debug/slow`   | `application/json` | only the slow-flagged traces |
+//! | `/debug/traces` | `application/json` | the query log, span trees and audits included |
+//! | `/debug/slow`   | `application/json` | only the slow-flagged records |
+//! | `/debug/explain/<trace_id>` | `application/json` | the audit document of that trace's newest record; 404 when the id is unknown, not a number, or its record has no audit |
 //!
-//! Anything else is 404; non-GET methods are 405. Requests are parsed only
-//! as far as the request line — headers are read and discarded.
+//! Anything else is 404 (or a mounted [`ServeState::debug_handler`]);
+//! non-GET methods are 405. Requests are parsed only as far as the request
+//! line — headers are read and discarded.
 //!
 //! The server never touches engine internals directly: it is configured
-//! with a registry handle, an optional [`TraceRing`] clone, and closures
+//! with a registry handle, an optional [`TraceRing`] clone (the query log
+//! behind all three `/debug/` endpoints above), and closures
 //! for health checks, pre-scrape refresh (e.g. updating a staleness gauge)
 //! and extra `/varz` sections. That keeps `hris-obs` dependency-free and
 //! lets any binary — engine, ingest worker, test — expose telemetry.
@@ -75,8 +78,9 @@ impl ServeState {
         }
     }
 
-    /// Exposes a trace ring on `/debug/traces` and `/debug/slow` (pass a
-    /// clone — the ring shares storage).
+    /// Exposes a query log on `/debug/traces`, `/debug/slow` and
+    /// `/debug/explain/<trace_id>` (pass a clone — the ring shares
+    /// storage).
     #[must_use]
     pub fn with_traces(mut self, ring: TraceRing) -> Self {
         self.traces = Some(ring);
@@ -130,9 +134,9 @@ impl ServeState {
     }
 
     /// Mounts a JSON debug handler under a path prefix (e.g.
-    /// `/debug/explain`). The handler receives the remainder of the
+    /// `/debug/shards`). The handler receives the remainder of the
     /// request path with any leading `/` removed — `""` for the bare
-    /// prefix, `"42"` for `/debug/explain/42` — and returns the JSON body,
+    /// prefix, `"2"` for `/debug/shards/2` — and returns the JSON body,
     /// or `None` for a 404. Built-in paths win over prefixes; prefixes are
     /// tried in registration order.
     #[must_use]
@@ -259,6 +263,12 @@ impl ServeState {
             "/debug/traces" => (200, "application/json", self.traces_json(false)),
             "/debug/slow" => (200, "application/json", self.traces_json(true)),
             other => {
+                if let Some(id) = other.strip_prefix("/debug/explain/") {
+                    return match self.audit_json(id) {
+                        Some(body) => (200, "application/json", body),
+                        None => not_found(),
+                    };
+                }
                 for (prefix, handler) in &self.debug {
                     let Some(rest) = other.strip_prefix(prefix.as_str()) else {
                         continue;
@@ -270,11 +280,7 @@ impl ServeState {
                         return (200, "application/json", body);
                     }
                 }
-                (
-                    404,
-                    "application/json",
-                    "{\"error\":\"not found\"}".to_string(),
-                )
+                not_found()
             }
         }
     }
@@ -294,6 +300,11 @@ impl ServeState {
         }
     }
 
+    /// The audit document of the newest record carrying trace id `id`.
+    fn audit_json(&self, id: &str) -> Option<String> {
+        self.traces.as_ref()?.find(id.parse().ok()?)?.audit
+    }
+
     fn traces_json(&self, slow_only: bool) -> String {
         let Some(ring) = &self.traces else {
             return "{\"dropped\":0,\"traces\":[]}".to_string();
@@ -307,6 +318,14 @@ impl ServeState {
             .join(",");
         format!("{{\"dropped\":{},\"traces\":[{traces}]}}", ring.dropped())
     }
+}
+
+fn not_found() -> (u16, &'static str, String) {
+    (
+        404,
+        "application/json",
+        "{\"error\":\"not found\"}".to_string(),
+    )
 }
 
 /// Reads up to the end of the request headers and returns the request
@@ -473,6 +492,39 @@ mod tests {
     }
 
     #[test]
+    fn debug_explain_serves_the_audit_of_a_logged_trace() {
+        use crate::trace::{TraceRecord, TraceRing};
+        let ring = TraceRing::new(8);
+        let _ = ring.push(TraceRecord {
+            trace_id: 42,
+            audit: Some("{\"trace_id\":42}".to_string()),
+            ..TraceRecord::default()
+        });
+        let _ = ring.push(TraceRecord {
+            trace_id: 43,
+            ..TraceRecord::default()
+        });
+        let server = ServeState::new(demo_registry())
+            .with_traces(ring)
+            .serve("127.0.0.1:0")
+            .expect("bind");
+        let (status, body) = http_get(server.addr(), "/debug/explain/42");
+        assert_eq!((status, body.as_str()), (200, "{\"trace_id\":42}"));
+        for path in [
+            "/debug/explain/43",
+            "/debug/explain/7",
+            "/debug/explain/x",
+            "/debug/explain",
+        ] {
+            assert_eq!(http_get(server.addr(), path).0, 404, "{path}");
+        }
+        let bare = ServeState::new(demo_registry())
+            .serve("127.0.0.1:0")
+            .expect("bind");
+        assert_eq!(http_get(bare.addr(), "/debug/explain/42").0, 404);
+    }
+
+    #[test]
     fn unknown_path_404_and_post_405() {
         let server = ServeState::new(demo_registry())
             .serve("127.0.0.1:0")
@@ -513,18 +565,18 @@ mod tests {
             .debug_handler("/debug/shards", |rest| {
                 rest.is_empty().then(|| "{\"shards\":2}".to_string())
             })
-            .debug_handler("/debug/explain", |id| {
-                (id == "42").then(|| "{\"trace_id\":42}".to_string())
+            .debug_handler("/debug/echo", |id| {
+                (id == "42").then(|| "{\"id\":42}".to_string())
             })
             .serve("127.0.0.1:0")
             .expect("bind");
         let (status, body) = http_get(server.addr(), "/debug/shards");
         assert_eq!((status, body.as_str()), (200, "{\"shards\":2}"));
-        let (status, body) = http_get(server.addr(), "/debug/explain/42");
-        assert_eq!((status, body.as_str()), (200, "{\"trace_id\":42}"));
-        let (status, _) = http_get(server.addr(), "/debug/explain/7");
+        let (status, body) = http_get(server.addr(), "/debug/echo/42");
+        assert_eq!((status, body.as_str()), (200, "{\"id\":42}"));
+        let (status, _) = http_get(server.addr(), "/debug/echo/7");
         assert_eq!(status, 404, "handler None is a 404");
-        let (status, _) = http_get(server.addr(), "/debug/explainer");
+        let (status, _) = http_get(server.addr(), "/debug/echoes");
         assert_eq!(status, 404, "prefix must end at a path boundary");
         let (status, _) = http_get(server.addr(), "/debug/traces");
         assert_eq!(status, 200, "built-in paths still served");

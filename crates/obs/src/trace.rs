@@ -1,11 +1,19 @@
-//! Per-query trace records and their bounded ring buffer.
+//! Per-query records and the bounded log that keeps them.
+//!
+//! One [`TraceRecord`] per query answers both "where did the time go"
+//! (phase times, cache tallies, the span tree) and — when explain is on —
+//! "why did this route win" (the pre-rendered audit document). The
+//! [`TraceRing`] is the one bounded log an engine or router keeps them in,
+//! keyed by trace id.
 
 use crate::span::Span;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Everything worth knowing about one served query: where its wall time
-/// went, how much work each phase did, and how the shared caches treated it.
+/// Everything worth knowing about one query: where its wall time went, how
+/// much work each phase did, how the shared caches treated it, and — when
+/// explain is on — why its routes won.
 ///
 /// Phase names follow the engine's decomposition of the paper's pipeline:
 /// `candidates` (candidate-edge lookup per query point), `local` (reference
@@ -14,9 +22,10 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRecord {
     /// Process-unique trace id tying this record to its distributed span
-    /// tree and audit record (0 = untraced / pre-tracing record).
+    /// tree (0 = untraced record).
     pub trace_id: u64,
-    /// Engine-assigned sequence number (monotonic per engine).
+    /// The log's own sequence number (monotonic per log, from 0), shared
+    /// with the `query_id` of the embedded audit.
     pub query_id: u64,
     /// Query points.
     pub points: usize,
@@ -53,6 +62,10 @@ pub struct TraceRecord {
     /// The query's span tree, sorted by `(start_s, id)`; empty when the
     /// query was not sampled and not slow.
     pub spans: Vec<Span>,
+    /// The query's explain document, already rendered as one JSON object
+    /// (schema: `hris::QueryAudit`); `None` unless explain is on. Kept
+    /// opaque so this crate never learns what a route or a feature is.
+    pub audit: Option<String>,
 }
 
 impl TraceRecord {
@@ -76,7 +89,7 @@ impl TraceRecord {
                 "\"candidates_s\":{},\"local_s\":{},\"global_s\":{},\"refine_s\":{},",
                 "\"total_s\":{},\"sp_hits\":{},\"sp_misses\":{},",
                 "\"cand_hits\":{},\"cand_misses\":{},\"slow\":{},",
-                "\"root_span\":{},\"spans\":[{}]}}"
+                "\"root_span\":{},\"spans\":[{}],\"audit\":{}}}"
             ),
             self.trace_id,
             self.query_id,
@@ -97,6 +110,7 @@ impl TraceRecord {
             self.slow,
             self.root_span,
             spans,
+            self.audit.as_deref().unwrap_or("null"),
         )
     }
 }
@@ -106,11 +120,17 @@ impl TraceRecord {
 ///
 /// Cloning shares the underlying storage (the ring is an `Arc` inside), so
 /// the engine that writes records and a telemetry server that reads them
-/// can hold handles to the same ring.
+/// can hold handles to the same ring. The ring also hands out the log's
+/// query sequence ([`TraceRing::next_query_id`]).
+///
+/// The ring only ever holds finished records, and every update either
+/// happened or did not, so a writer that panicked while holding the lock
+/// cannot leave it invalid: a poisoned lock is recovered, not propagated.
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     capacity: usize,
     inner: Arc<Mutex<Inner>>,
+    next_query_id: Arc<AtomicU64>,
 }
 
 #[derive(Debug, Default)]
@@ -128,14 +148,19 @@ impl TraceRing {
         TraceRing {
             capacity,
             inner: Arc::new(Mutex::new(Inner::default())),
+            next_query_id: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Two handles push into the same storage iff they are clones of one
-    /// ring.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next number of this log's query sequence (0, 1, 2, … across
+    /// all clones), for a record and its audit to share.
     #[must_use]
-    pub fn same_storage(&self, other: &TraceRing) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+    pub fn next_query_id(&self) -> u64 {
+        self.next_query_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The configured capacity.
@@ -147,7 +172,7 @@ impl TraceRing {
     /// Appends a record; returns `true` when an old record (or, at zero
     /// capacity, this record) was dropped to make room.
     pub fn push(&self, rec: TraceRecord) -> bool {
-        let mut inner = self.inner.lock().expect("trace ring");
+        let mut inner = self.lock();
         if self.capacity == 0 {
             inner.dropped += 1;
             return true;
@@ -164,21 +189,13 @@ impl TraceRing {
     /// Copies out the retained records, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("trace ring")
-            .buf
-            .iter()
-            .cloned()
-            .collect()
+        self.lock().buf.iter().cloned().collect()
     }
 
     /// The most recent retained record carrying this trace id, if any.
     #[must_use]
     pub fn find(&self, trace_id: u64) -> Option<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("trace ring")
+        self.lock()
             .buf
             .iter()
             .rev()
@@ -189,18 +206,13 @@ impl TraceRing {
     /// Removes and returns the retained records, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("trace ring")
-            .buf
-            .drain(..)
-            .collect()
+        self.lock().buf.drain(..).collect()
     }
 
     /// How many records have been dropped since construction.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("trace ring").dropped
+        self.lock().dropped
     }
 }
 
@@ -262,7 +274,19 @@ mod tests {
         let none = TraceRecord::default().to_json();
         assert!(none.contains("\"top_log_score\":null"));
         assert!(none.contains("\"root_span\":0"));
-        assert!(none.contains("\"spans\":[]"));
+        assert!(none.contains("\"spans\":[],\"audit\":null}"));
+    }
+
+    #[test]
+    fn audit_is_embedded_verbatim() {
+        let r = TraceRecord {
+            trace_id: 3,
+            audit: Some("{\"trace_id\":3,\"outcome\":\"served\"}".to_string()),
+            ..TraceRecord::default()
+        };
+        assert!(r
+            .to_json()
+            .ends_with(",\"audit\":{\"trace_id\":3,\"outcome\":\"served\"}}"));
     }
 
     #[test]
@@ -286,12 +310,56 @@ mod tests {
     }
 
     #[test]
+    fn find_returns_the_newest_record_of_a_trace_id() {
+        let ring = TraceRing::new(2);
+        for (trace_id, query_id) in [(5, 0), (5, 1), (6, 2)] {
+            let _ = ring.push(TraceRecord {
+                trace_id,
+                query_id,
+                ..TraceRecord::default()
+            });
+        }
+        assert_eq!(ring.find(5).expect("kept").query_id, 1);
+        assert_eq!(ring.find(6).expect("kept").query_id, 2);
+        assert!(ring.find(7).is_none());
+    }
+
+    #[test]
+    fn query_sequence_is_shared_by_clones_and_starts_at_zero() {
+        let ring = TraceRing::new(1);
+        let other = ring.clone();
+        assert_eq!(ring.next_query_id(), 0);
+        assert_eq!(other.next_query_id(), 1);
+        assert_eq!(ring.next_query_id(), 2);
+        assert_eq!(TraceRing::new(1).next_query_id(), 0);
+    }
+
+    #[test]
+    fn survives_a_writer_panicking_under_the_lock() {
+        let ring = TraceRing::new(2);
+        let _ = ring.push(rec(1));
+        let poisoner = ring.clone();
+        let joined = std::thread::spawn(move || {
+            let _guard = poisoner.lock();
+            panic!("writer dies holding the ring lock");
+        })
+        .join();
+        assert!(joined.is_err(), "the writer panicked");
+        assert!(ring.inner.is_poisoned());
+        assert!(!ring.push(rec(2)));
+        assert!(ring.push(rec(3)));
+        let ids: Vec<u64> = ring.snapshot().iter().map(|r| r.query_id).collect();
+        assert_eq!(ids, vec![2, 3]);
+        assert_eq!(ring.find(0).map(|r| r.query_id), Some(3));
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.drain().len(), 2);
+    }
+
+    #[test]
     fn clones_share_the_ring() {
         let ring = TraceRing::new(4);
         let other = ring.clone();
         let _ = other.push(rec(1));
         assert_eq!(ring.snapshot().len(), 1);
-        assert!(ring.same_storage(&other));
-        assert!(!ring.same_storage(&TraceRing::new(4)));
     }
 }

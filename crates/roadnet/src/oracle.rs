@@ -25,7 +25,8 @@
 //!    sharing a source amortises one tree build. With positive edge costs,
 //!    a full run's predecessor assignments for nodes settled at or before
 //!    the target are identical to the early-terminated run's, so
-//!    reconstructed routes are byte-identical to [`shortest_path`]'s.
+//!    reconstructed routes are byte-identical to
+//!    [`shortest_path`](crate::shortest::shortest_path)'s.
 //!
 //! All transient search state lives in epoch-stamped [`ScratchBuffers`]
 //! (dist/stamp/predecessor arrays plus a reusable heap) pooled inside the
@@ -441,7 +442,7 @@ impl SpOracle {
     ///
     /// O(1) via the condensation bitmatrix when available; conservatively
     /// `true` (forcing a tree lookup) on networks with more components than
-    /// [`MAX_REACH_COMPONENTS`].
+    /// `MAX_REACH_COMPONENTS` (4096).
     #[inline]
     #[must_use]
     pub fn reachable(&self, u: NodeId, v: NodeId) -> bool {

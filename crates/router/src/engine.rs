@@ -46,26 +46,30 @@ use crate::plan::ShardPlan;
 use hris::{
     configured_scorer, ConfiguredScorer, EngineConfig, EngineHandle, HrisParams,
     LocalInferenceResult, PaperScorer, QueryAudit, QueryOutcome, QueryResult, RejectReason,
-    RouteExplanation, RouteScorer, ScoringCtx,
+    RouteScorer, ScoringCtx,
 };
 use hris_geo::BBox;
 use hris_obs::{
-    next_trace_id, Admission, AdmissionGate, AttrValue, AuditRecord, AuditRing, Counter, Health,
-    MetricsRegistry, MetricsServer, MetricsSnapshot, ServeState, SpanCollector, SpanGuard,
-    TraceAssembler, TraceRecord, TraceRing,
+    next_trace_id, Admission, AdmissionGate, AttrValue, Counter, Health, MetricsRegistry,
+    MetricsServer, MetricsSnapshot, ServeState, SpanCollector, SpanGuard, TraceAssembler,
+    TraceRecord, TraceRing,
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{
     partition_archive, sanitize_points, ArchiveSnapshot, PointRepairs, SnapshotReader, TrajId,
     Trajectory, TrajectoryArchive,
 };
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// The span handle the router threads through one traced query: the
 /// query-owned collector (one clock origin for the whole stitched tree)
 /// plus the span id the next stage should parent under.
 type SpanCtx<'c> = Option<(&'c SpanCollector, u64)>;
+
+/// One dispatched query: the answer, how it was routed, and — with explain
+/// on — its rendered audit document.
+type Dispatched = (QueryResult, RouteTrace, Option<String>);
 
 /// Router-side health of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,16 +246,12 @@ pub struct ShardedEngine {
     /// below their `infer_query` entrypoints, so this gate is the
     /// admission point for routed traffic.
     gate: Option<AdmissionGate>,
-    /// Stitched cross-shard trace ring (`cfg.obs.enabled` with a nonzero
-    /// `trace_capacity`); `None` is the zero-overhead gate: no collector,
-    /// no clock reads, not even a trace-id increment.
+    /// The router's query log ([`EngineConfig::query_log`]): one record
+    /// per routed query, with the stitched cross-shard span tree when
+    /// tracing and the query's audit when explaining. `None` is the
+    /// zero-overhead gate: no collector, no clock reads, not even a
+    /// trace-id increment.
     traces: Option<TraceRing>,
-    /// Router-side explain/audit ring (`cfg.explain.enabled`); holds the
-    /// audits of scatter-gathered queries (delegated queries audit on
-    /// their shard, under the router's trace id).
-    audits: Option<AuditRing>,
-    /// Router-assigned query sequence for stitched trace records.
-    next_query_id: AtomicU64,
 }
 
 impl ShardedEngine {
@@ -312,9 +312,9 @@ impl ShardedEngine {
     }
 
     /// A sharded engine over live per-shard ingestion: `readers[s]` is the
-    /// published-snapshot reader of shard `s`'s [`ArchiveWriter`]
-    /// (`hris_traj::ArchiveWriter`). Each query pins at most one epoch per
-    /// touched shard.
+    /// published-snapshot reader of shard `s`'s
+    /// [`ArchiveWriter`](hris_traj::ArchiveWriter). Each query pins at most
+    /// one epoch per touched shard.
     ///
     /// Live shards have no parent archive, so cross-seam id remapping is
     /// *namespaced* instead of translated: shard `s`'s trajectory `i`
@@ -378,12 +378,7 @@ impl ShardedEngine {
             .admission
             .enabled
             .then(|| AdmissionGate::new(cfg.admission.max_inflight, cfg.admission.max_queued));
-        let traces = (cfg.obs.enabled && cfg.obs.trace_capacity > 0)
-            .then(|| TraceRing::new(cfg.obs.trace_capacity));
-        let audits = cfg
-            .explain
-            .enabled
-            .then(|| AuditRing::new(cfg.explain.audit_capacity));
+        let traces = cfg.query_log();
         ShardedEngine {
             net,
             params,
@@ -398,8 +393,6 @@ impl ShardedEngine {
             m,
             gate,
             traces,
-            audits,
-            next_query_id: AtomicU64::new(0),
         }
     }
 
@@ -482,35 +475,14 @@ impl ShardedEngine {
         )
     }
 
-    /// The router's stitched-trace ring, when tracing is enabled
-    /// (`cfg.obs.enabled` with a nonzero `trace_capacity`). The returned
-    /// handle shares storage with the router's ring.
+    /// The router's query log, when tracing or explain is on: one record
+    /// per routed query — delegated, scattered, rejected or shed — whose
+    /// `audit` (explain on) is the query's audit document, shard-written
+    /// for a delegated query. The returned handle shares storage with the
+    /// router's log.
     #[must_use]
     pub fn trace_ring(&self) -> Option<TraceRing> {
         self.traces.clone()
-    }
-
-    /// The router's explain/audit ring, when
-    /// [`ExplainOptions`](hris::ExplainOptions) enabled it. Holds the
-    /// audits of scatter-gathered, shed and router-rejected queries;
-    /// delegated queries audit on their shard (see
-    /// [`ShardedEngine::find_audit`]).
-    #[must_use]
-    pub fn audit_ring(&self) -> Option<AuditRing> {
-        self.audits.clone()
-    }
-
-    /// The audit document of one trace id, searching the router's ring
-    /// first and then every shard's (a whole-query delegation audits on
-    /// the shard that served it, under the router's trace id).
-    #[must_use]
-    pub fn find_audit(&self, trace_id: u64) -> Option<AuditRecord> {
-        if let Some(rec) = self.audits.as_ref().and_then(|r| r.find(trace_id)) {
-            return Some(rec);
-        }
-        self.shards
-            .iter()
-            .find_map(|s| s.audit_ring().and_then(|r| r.find(trace_id)))
     }
 
     /// Per-shard status as one JSON array: id, administrative health,
@@ -542,11 +514,12 @@ impl ShardedEngine {
     /// `/metrics` and `/varz` serve the **federated** snapshot
     /// ([`ShardedEngine::metrics_snapshot`]: router series plus every
     /// shard's, `shard`-labelled). `/debug/shards` reports per-shard
-    /// health/servability/epoch. With tracing enabled, `/debug/traces`
-    /// serves the stitched cross-shard span trees; with explain enabled,
-    /// `/debug/explain/<trace_id>` serves the audit document of that query
-    /// from the router's ring or any shard's. Every shard also contributes
-    /// a named health check to `/healthz` (unhealthy when not servable).
+    /// health/servability/epoch. `/debug/traces`, `/debug/slow` and
+    /// `/debug/explain/<trace_id>` serve the router's query log
+    /// ([`ShardedEngine::trace_ring`]): the stitched cross-shard span trees
+    /// with tracing on, each routed query's audit with explain on. Every
+    /// shard also contributes a named health check to `/healthz`
+    /// (unhealthy when not servable).
     ///
     /// # Errors
     /// Whatever binding the listener returns.
@@ -563,11 +536,6 @@ impl ShardedEngine {
         let on_shards = Arc::clone(self);
         state = state.debug_handler("/debug/shards", move |rest| {
             rest.is_empty().then(|| on_shards.shards_json())
-        });
-        let on_explain = Arc::clone(self);
-        state = state.debug_handler("/debug/explain", move |rest| {
-            let trace_id: u64 = rest.parse().ok()?;
-            on_explain.find_audit(trace_id).map(|rec| rec.json)
         });
         for s in 0..self.num_shards() {
             let on_health = Arc::clone(self);
@@ -598,19 +566,18 @@ impl ShardedEngine {
     /// `trace_capacity`) the query additionally records one **stitched span
     /// tree** — routing → per-shard local inference → gather → splice →
     /// rerank, with health flips, reroutes and degraded/rejected outcomes
-    /// as span events — into the router's trace ring, validated by a
-    /// [`TraceAssembler`] (exactly one root, every parent resolvable).
-    /// With explain enabled (`cfg.explain`) it records a
-    /// [`QueryAudit`] under the same trace id. With both disabled this
-    /// path is byte-identical to an untraced router and performs zero
-    /// clock reads (test-enforced).
+    /// as span events — validated by a [`TraceAssembler`] (exactly one
+    /// root, every parent resolvable). With explain enabled (`cfg.explain`)
+    /// the query's record carries its [`QueryAudit`]. Either way the query
+    /// files exactly one record in the router's query log. With both
+    /// disabled this path is byte-identical to an untraced router and
+    /// performs zero clock reads (test-enforced).
     #[must_use]
     pub fn infer_query_traced(&self, query: &Trajectory, k: usize) -> (QueryResult, RouteTrace) {
         self.m.queries.inc();
-        // Identity is minted only when a consumer — the stitched trace
-        // ring or the audit ring — is switched on; the disabled path skips
-        // even the atomic increment.
-        let trace_id = if self.traces.is_some() || self.audits.is_some() {
+        // Identity is minted only when the query log is kept; the disabled
+        // path skips even the atomic increment.
+        let trace_id = if self.traces.is_some() {
             next_trace_id()
         } else {
             0
@@ -622,22 +589,18 @@ impl ShardedEngine {
             Some(Admission::Shed) => {
                 self.m.rejected.inc();
                 self.m.shed.inc();
-                self.push_event_audit(
-                    trace_id,
-                    query,
-                    "shed",
-                    "admission: waiting room full, query shed",
-                );
-                return (
-                    QueryResult {
-                        globals: Vec::new(),
-                        stats: Vec::new(),
-                        outcome: QueryOutcome::Rejected {
-                            reason: RejectReason::Overloaded,
-                        },
+                let audit = self.event_audit(trace_id, query, "shed", || {
+                    "admission: waiting room full, query shed".to_string()
+                });
+                let result = QueryResult {
+                    globals: Vec::new(),
+                    stats: Vec::new(),
+                    outcome: QueryOutcome::Rejected {
+                        reason: RejectReason::Overloaded,
                     },
-                    RouteTrace::rejected(),
-                );
+                };
+                self.log_query(trace_id, query, &result, None, audit);
+                return (result, RouteTrace::rejected());
             }
             Some(Admission::Admitted(p)) => Some(p),
             None => None,
@@ -646,35 +609,55 @@ impl ShardedEngine {
         // One collector per traced query: every stage — routing, shard
         // batches, gather, splice — records into it, so the whole stitched
         // tree shares one clock origin and needs no cross-shard alignment.
-        let collector = self.traces.as_ref().map(|_| SpanCollector::new());
+        // Spans are observability's: an explain-only log reads no clock.
+        let tracing = self.cfg.obs.enabled && self.traces.is_some();
+        let collector = tracing.then(SpanCollector::new);
         let root_guard = collector.as_ref().map(|c| c.root("query"));
         let root_id = root_guard.as_ref().map_or(0, SpanGuard::id);
         let spans = collector.as_ref().map(|c| (c, root_id));
 
-        let (result, route) = self.dispatch(query, k, trace_id, spans);
+        let (result, route, audit) = self.dispatch(query, k, trace_id, spans);
 
         drop(root_guard);
-        if let (Some(ring), Some(c)) = (&self.traces, collector) {
-            let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed) + 1;
-            let rec = TraceRecord {
-                trace_id,
-                query_id,
-                points: query.points.len(),
-                pairs: query.points.len().saturating_sub(1),
-                routes: result.globals.len(),
-                top_log_score: result.globals.first().map(|g| g.log_score),
-                ..TraceRecord::default()
-            };
+        self.log_query(trace_id, query, &result, collector, audit);
+        (result, route)
+    }
+
+    /// Files one routed query's record in the router's query log (a no-op
+    /// without one): the log's next query id, the stitched span tree when
+    /// the query was traced, and its audit refiled under that query id.
+    fn log_query(
+        &self,
+        trace_id: u64,
+        query: &Trajectory,
+        result: &QueryResult,
+        collector: Option<SpanCollector>,
+        audit: Option<String>,
+    ) {
+        let Some(log) = &self.traces else { return };
+        let query_id = log.next_query_id();
+        let mut rec = TraceRecord {
+            trace_id,
+            query_id,
+            points: query.points.len(),
+            pairs: query.points.len().saturating_sub(1),
+            routes: result.globals.len(),
+            top_log_score: result.globals.first().map(|g| g.log_score),
+            audit: audit.map(|json| QueryAudit::refile(&json, query_id)),
+            ..TraceRecord::default()
+        };
+        if let Some(c) = collector {
             let mut asm = TraceAssembler::new(trace_id);
             asm.add_spans(c.into_spans());
             match asm.finish(rec) {
-                Ok(rec) => {
-                    let _ = ring.push(rec);
+                Ok(stitched) => rec = stitched,
+                Err(e) => {
+                    debug_assert!(false, "router span tree must stitch: {e}");
+                    return;
                 }
-                Err(e) => debug_assert!(false, "router span tree must stitch: {e}"),
             }
         }
-        (result, route)
+        let _ = log.push(rec);
     }
 
     /// Validation + spatial dispatch, inside the `routing` span of a traced
@@ -685,7 +668,7 @@ impl ShardedEngine {
         k: usize,
         trace_id: u64,
         spans: SpanCtx<'_>,
-    ) -> (QueryResult, RouteTrace) {
+    ) -> Dispatched {
         // Stage 1 — mirror the engine's validation ladder so routing sees
         // the same points the shard engines will serve.
         let mut routing = spans.map(|(c, root)| c.child(root, "routing"));
@@ -700,12 +683,6 @@ impl ShardedEngine {
                         vec![("reason".to_string(), AttrValue::Text(format!("{reason:?}")))],
                     );
                 }
-                self.push_event_audit(
-                    trace_id,
-                    query,
-                    "rejected",
-                    &format!("rejected: {reason:?}"),
-                );
                 return (
                     QueryResult {
                         globals: Vec::new(),
@@ -713,6 +690,9 @@ impl ShardedEngine {
                         outcome: QueryOutcome::Rejected { reason },
                     },
                     RouteTrace::rejected(),
+                    self.event_audit(trace_id, query, "rejected", || {
+                        format!("rejected: {reason:?}")
+                    }),
                 );
             }
         };
@@ -747,17 +727,18 @@ impl ShardedEngine {
         }
     }
 
-    /// Pushes a routes-free audit document (shed / router-side rejection)
-    /// when the explain layer is on.
-    fn push_event_audit(&self, trace_id: u64, query: &Trajectory, outcome: &str, event: &str) {
-        let Some(ring) = &self.audits else { return };
-        let mut audit = QueryAudit::new(trace_id, 0);
-        audit.points = query.points.len();
-        audit.pairs = query.points.len().saturating_sub(1);
-        audit.outcome = outcome.to_string();
-        audit.scorer = "none".to_string();
-        audit.push_event(event);
-        let _ = ring.push(audit.into_record());
+    /// The rendered routes-free audit of a shed or router-rejected query,
+    /// when explain is on.
+    fn event_audit(
+        &self,
+        trace_id: u64,
+        query: &Trajectory,
+        outcome: &str,
+        event: impl FnOnce() -> String,
+    ) -> Option<String> {
+        self.cfg.explain.enabled.then(|| {
+            QueryAudit::event_only(trace_id, query.points.len(), outcome, event()).to_json()
+        })
     }
 
     /// The engine's validation screen, reproduced router-side: the router
@@ -775,13 +756,7 @@ impl ShardedEngine {
             return Err(RejectReason::EmptyQuery);
         }
         let lim = &self.cfg.validation.limits;
-        let valid = query.validate().is_ok()
-            && query.points.iter().all(|p| {
-                p.pos.x.abs() <= lim.max_abs_coord_m
-                    && p.pos.y.abs() <= lim.max_abs_coord_m
-                    && p.t.abs() <= lim.max_abs_time_s
-            });
-        if valid {
+        if lim.is_clean(query) {
             return Ok(Routable::Clean(query));
         }
         let mut pts = query.points.clone();
@@ -797,8 +772,9 @@ impl ShardedEngine {
     /// and the outcome is demoted to `Degraded`.
     ///
     /// The delegated shard serves under the router's trace id
-    /// ([`EngineHandle::infer_query_with_trace`]), so its own trace record
-    /// and audit are joinable with the router's `shard` span.
+    /// ([`EngineHandle::infer_query_with_trace`]), so its own record is
+    /// joinable with the router's `shard` span, and the audit it wrote is
+    /// taken from the shard's log by that id for the router's record.
     fn run_single(
         &self,
         query: &Trajectory,
@@ -806,7 +782,7 @@ impl ShardedEngine {
         s: usize,
         trace_id: u64,
         spans: SpanCtx<'_>,
-    ) -> (QueryResult, RouteTrace) {
+    ) -> Dispatched {
         let n_pairs = query.points.len().saturating_sub(1);
         let (target, rerouted) = if self.shard_is_servable(s) {
             (s, 0)
@@ -847,6 +823,14 @@ impl ShardedEngine {
         }
         let mut result = self.shards[target].infer_query_with_trace(query, k, trace_id);
         drop(shard_guard);
+        let audit = if self.cfg.explain.enabled {
+            self.shards[target]
+                .trace_ring()
+                .and_then(|log| log.find(trace_id))
+                .and_then(|rec| rec.audit)
+        } else {
+            None
+        };
         if rerouted > 0 {
             self.m.rerouted.add(rerouted as u64);
             result.outcome = demote_to_degraded(result.outcome, rerouted);
@@ -868,7 +852,7 @@ impl ShardedEngine {
             epochs: vec![(target, self.shards[target].epoch())],
             rerouted_pairs: rerouted,
         };
-        (result, trace)
+        (result, trace, audit)
     }
 
     /// Scatter-gather: assign each pair to a shard, run maximal same-shard
@@ -885,7 +869,7 @@ impl ShardedEngine {
         k: usize,
         trace_id: u64,
         spans: SpanCtx<'_>,
-    ) -> (QueryResult, RouteTrace) {
+    ) -> Dispatched {
         let q = routable.query();
         let phi = self.params.phi_m;
         let n_pairs = q.points.len() - 1;
@@ -1040,21 +1024,25 @@ impl ShardedEngine {
 
         // Router-side audit: the shards only ran phases 1–2, so the
         // explain document of a scattered query is the router's to write.
-        if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::new(trace_id, 0);
-            audit.points = q.points.len();
-            audit.pairs = n_pairs;
-            audit.outcome = match &outcome {
-                QueryOutcome::Ok => "served".to_string(),
-                QueryOutcome::Repaired { .. } => "repaired".to_string(),
-                QueryOutcome::Degraded { .. } => "degraded".to_string(),
-                QueryOutcome::Rejected { .. } => "rejected".to_string(),
+        let audit = self.cfg.explain.enabled.then(|| {
+            let mut audit = QueryAudit {
+                trace_id,
+                points: q.points.len(),
+                pairs: n_pairs,
+                outcome: match &outcome {
+                    QueryOutcome::Ok => "served",
+                    other => other.label(),
+                }
+                .to_string(),
+                local_routes_per_pair: locals.iter().map(|l| l.routes.len()).collect(),
+                scorer: scorer.name().to_string(),
+                events: pair_shards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| format!("scatter: pair {i} served by shard {s}"))
+                    .collect(),
+                ..QueryAudit::default()
             };
-            audit.local_routes_per_pair = locals.iter().map(|l| l.routes.len()).collect();
-            audit.scorer = scorer.name().to_string();
-            for (i, s) in pair_shards.iter().enumerate() {
-                audit.push_event(format!("scatter: pair {i} served by shard {s}"));
-            }
             if rerouted > 0 {
                 audit.push_event(format!(
                     "degraded: {rerouted} pairs rerouted away from unhealthy shards"
@@ -1064,23 +1052,15 @@ impl ShardedEngine {
                 ConfiguredScorer::Learned(_) => self.cfg.rerank.model.as_ref(),
                 ConfiguredScorer::Paper(_) => None,
             };
-            audit.routes = globals
-                .iter()
-                .take(self.cfg.explain.top_k_routes)
-                .enumerate()
-                .map(|(rank, g)| {
-                    RouteExplanation::explain(
-                        &sctx,
-                        g,
-                        rank,
-                        self.params.entropy_floor,
-                        self.params.popularity_model,
-                        rerank,
-                    )
-                })
-                .collect();
-            let _ = ring.push(audit.into_record());
-        }
+            audit.explain_routes(
+                &sctx,
+                &globals,
+                self.cfg.explain.top_k_routes,
+                &self.params,
+                rerank,
+            );
+            audit.to_json()
+        });
 
         (
             QueryResult {
@@ -1095,17 +1075,13 @@ impl ShardedEngine {
                 epochs,
                 rerouted_pairs: rerouted,
             },
+            audit,
         )
     }
 
     /// Rejection because no servable shard remains: span event + audit +
     /// the counted rejection result.
-    fn reject_no_shard(
-        &self,
-        query: &Trajectory,
-        trace_id: u64,
-        spans: SpanCtx<'_>,
-    ) -> (QueryResult, RouteTrace) {
+    fn reject_no_shard(&self, query: &Trajectory, trace_id: u64, spans: SpanCtx<'_>) -> Dispatched {
         if let Some((c, root)) = spans {
             let _ = c.event(
                 root,
@@ -1116,8 +1092,20 @@ impl ShardedEngine {
                 )],
             );
         }
-        self.push_event_audit(trace_id, query, "rejected", "rejected: ShardUnavailable");
-        self.reject_unavailable()
+        self.m.rejected.inc();
+        (
+            QueryResult {
+                globals: Vec::new(),
+                stats: Vec::new(),
+                outcome: QueryOutcome::Rejected {
+                    reason: RejectReason::ShardUnavailable,
+                },
+            },
+            RouteTrace::rejected(),
+            self.event_audit(trace_id, query, "rejected", || {
+                "rejected: ShardUnavailable".to_string()
+            }),
+        )
     }
 
     /// Shard-local → global trajectory ids, in place, on every reference's
@@ -1149,20 +1137,6 @@ impl ShardedEngine {
                     .partial_cmp(&self.plan.region(bi).min_dist(c))
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-    }
-
-    fn reject_unavailable(&self) -> (QueryResult, RouteTrace) {
-        self.m.rejected.inc();
-        (
-            QueryResult {
-                globals: Vec::new(),
-                stats: Vec::new(),
-                outcome: QueryOutcome::Rejected {
-                    reason: RejectReason::ShardUnavailable,
-                },
-            },
-            RouteTrace::rejected(),
-        )
     }
 }
 

@@ -86,7 +86,8 @@ fn traced_engine(
     let plan = ShardPlan::grid(net, nx, ny, params.phi_m + 900.0);
     let cfg = EngineConfig::builder()
         .observability(true)
-        .explain(64)
+        .explain(true)
+        .trace_capacity(64)
         .build()
         .expect("static engine configuration");
     Arc::new(ShardedEngine::build(
@@ -180,7 +181,7 @@ proptest! {
     }
 
     /// Concurrent batches across two independent routers: every recorded
-    /// trace carries a distinct id, and every served audit joins a trace.
+    /// trace carries a distinct id and its own query's audit.
     #[test]
     fn trace_ids_never_collide_across_concurrent_batches(
         arch_seed in 0u64..10,
@@ -217,10 +218,15 @@ proptest! {
                 prop_assert!(rec.trace_id > 0, "traced queries mint nonzero ids");
                 all_ids.push(rec.trace_id);
             }
-            // Audits recorded anywhere (router or shard rings) join traces
-            // recorded in this process by id.
-            for audit in engine.audit_ring().expect("explain is on").snapshot() {
-                prop_assert!(audit.trace_id > 0);
+            // Every record carries its query's audit, filed under the
+            // record's own trace and query ids.
+            for rec in &recs {
+                let audit = rec.audit.as_deref().expect("explain is on");
+                let identity = format!(
+                    "{{\"trace_id\":{},\"query_id\":{},",
+                    rec.trace_id, rec.query_id
+                );
+                prop_assert!(audit.starts_with(&identity), "{}", audit);
             }
         }
         prop_assert_eq!(all_ids.len(), THREADS * PER_THREAD, "every query recorded");

@@ -3,11 +3,12 @@
 //! yield exactly one stitched span tree — routing → per-shard local
 //! inference → gather → splice — assembled under one trace id, and the
 //! explain layer must serve that query's audit document from
-//! `/debug/explain/<trace_id>`.
+//! `/debug/explain/<trace_id>`, out of the router's one query log, for
+//! scattered and delegated queries alike.
 //!
-//! The span tree is checked both in-process (through the router's trace
-//! ring) and over real TCP (`/debug/traces`), alongside the new
-//! `/debug/shards` topology endpoint and the per-shard health checks.
+//! The span tree is checked both in-process (through the router's query
+//! log) and over real TCP (`/debug/traces`), alongside the `/debug/shards`
+//! topology endpoint and the per-shard health checks.
 
 use hris::{EngineConfig, HrisParams, QueryOutcome};
 use hris_geo::Point;
@@ -85,7 +86,8 @@ fn traced_engine(net: &Arc<RoadNetwork>, archive: &TrajectoryArchive) -> Arc<Sha
     let plan = ShardPlan::grid(net, 2, 1, params.phi_m + 900.0);
     let cfg = EngineConfig::builder()
         .observability(true)
-        .explain(16)
+        .explain(true)
+        .trace_capacity(16)
         .build()
         .expect("static engine configuration");
     Arc::new(ShardedEngine::build(
@@ -243,11 +245,16 @@ fn scatter_query_stitches_one_span_tree_served_by_the_live_router() {
     }
 
     let (code, audit) = http_get(addr, &format!("/debug/explain/{}", rec.trace_id));
-    assert_eq!(code, 200, "scatter audit served from the router ring");
+    assert_eq!(code, 200, "scatter audit served from the router's log");
+    assert_eq!(Some(audit.as_str()), rec.audit.as_deref());
     let a: serde_json::Value = serde_json::from_str(&audit).expect("valid audit json");
     assert_eq!(
         a.get("trace_id").and_then(|v| v.as_u64()),
         Some(rec.trace_id)
+    );
+    assert_eq!(
+        a.get("query_id").and_then(|v| v.as_u64()),
+        Some(rec.query_id)
     );
     assert_eq!(a.get("outcome").and_then(|v| v.as_str()), Some("served"));
     assert_eq!(a.get("pairs").and_then(|v| v.as_u64()), Some(3));
@@ -272,10 +279,12 @@ fn scatter_query_stitches_one_span_tree_served_by_the_live_router() {
 }
 
 #[test]
-fn delegated_query_audit_is_findable_under_the_router_trace_id() {
+fn delegated_query_audit_is_served_by_the_router_under_its_trace_id() {
     let net = net();
     let archive = sim_archive(&net, 90, 12);
     let engine = traced_engine(&net, &archive);
+    // Shift the router's sequence off the shard's, so refiling shows.
+    let _ = engine.infer_query_traced(&Trajectory::new(TrajId(1), Vec::new()), 2);
     let q = core_query(&engine, 1);
 
     let (result, route) = engine.infer_query_traced(&q, 2);
@@ -288,25 +297,47 @@ fn delegated_query_audit_is_findable_under_the_router_trace_id() {
         .snapshot()
         .pop()
         .expect("delegated query still records a trace");
-    // The delegated shard served under the router's trace id, so the
-    // shard-side audit joins the router-side span tree.
-    let audit = engine
-        .find_audit(rec.trace_id)
-        .expect("shard-side audit found through the router");
-    assert!(audit
-        .json
-        .contains(&format!("\"trace_id\":{}", rec.trace_id)));
-    assert!(audit.json.contains("\"outcome\":\"served\""));
-    // It lives on the shard's ring, not the router's.
-    assert!(
-        engine
-            .audit_ring()
-            .expect("explain is on")
-            .find(rec.trace_id)
-            .is_none(),
-        "delegated audits are shard-owned"
+    assert_eq!(rec.query_id, 1, "the router's own sequence");
+    // The delegated shard served under the router's trace id and wrote the
+    // audit into its own log; the router's record carries that audit,
+    // refiled under the router's query id.
+    let shard_rec = engine
+        .shard(1)
+        .trace_ring()
+        .expect("the shard keeps a log too")
+        .find(rec.trace_id)
+        .expect("the shard logged the delegated query");
+    assert_eq!(shard_rec.query_id, 0, "the shard's own sequence");
+    let audit = rec
+        .audit
+        .as_deref()
+        .expect("router record carries the audit");
+    let shard_audit = shard_rec.audit.as_deref().expect("shard wrote an audit");
+    assert_eq!(
+        audit,
+        shard_audit.replacen("\"query_id\":0,", "\"query_id\":1,", 1)
     );
-    assert!(engine.shard(1).audit_ring().is_some());
+    assert!(audit.contains("\"outcome\":\"served\""));
+
+    // Resolved through the router's server alone.
+    let server = engine.serve_metrics("127.0.0.1:0").expect("bind");
+    let (code, body) = http_get(server.addr(), &format!("/debug/explain/{}", rec.trace_id));
+    assert_eq!(code, 200, "delegated audit served from the router's log");
+    assert_eq!(body, audit);
+    let a: serde_json::Value = serde_json::from_str(&body).expect("valid audit json");
+    assert_eq!(
+        a.get("trace_id").and_then(|v| v.as_u64()),
+        Some(rec.trace_id)
+    );
+    assert_eq!(a.get("query_id").and_then(|v| v.as_u64()), Some(1));
+    assert!(
+        !a.get("routes")
+            .and_then(|v| v.as_array())
+            .expect("routes array")
+            .is_empty(),
+        "served audit explains its routes"
+    );
+    server.shutdown();
 }
 
 #[test]
@@ -413,7 +444,7 @@ fn shed_and_rejected_queries_audit_without_routes() {
         let plan = ShardPlan::grid(&net, 2, 1, params.phi_m + 900.0);
         let cfg = EngineConfig::builder()
             .observability(true)
-            .explain(16)
+            .explain(true)
             .admission(1, 0)
             .build()
             .expect("static engine configuration");
@@ -430,12 +461,11 @@ fn shed_and_rejected_queries_audit_without_routes() {
     let empty = Trajectory::new(TrajId(1), Vec::new());
     let (r, _) = engine.infer_query_traced(&empty, 2);
     assert!(matches!(r.outcome, QueryOutcome::Rejected { .. }));
-    let audits = engine.audit_ring().expect("explain is on").snapshot();
-    let rejected = audits
-        .iter()
-        .find(|a| a.json.contains("\"outcome\":\"rejected\""))
-        .expect("rejection audited");
-    assert!(rejected.json.contains("\"routes\":[]"));
+    let log = engine.trace_ring().expect("explain is on");
+    let rejected = log.snapshot().pop().expect("rejection logged");
+    let audit = rejected.audit.expect("rejection audited");
+    assert!(audit.contains("\"outcome\":\"rejected\""));
+    assert!(audit.contains("\"routes\":[]"));
 
     // A query shed at the gate audits as shed.
     let gate = engine.admission_gate().expect("gate configured");
@@ -447,11 +477,15 @@ fn shed_and_rejected_queries_audit_without_routes() {
     let (r, _) = engine.infer_query_traced(&q, 2);
     assert!(matches!(r.outcome, QueryOutcome::Rejected { .. }));
     drop(permit);
-    let audits = engine.audit_ring().unwrap().snapshot();
+    let records = log.snapshot();
+    assert_eq!(records.len(), 2, "one record per query, shed included");
+    let shed = records[1].audit.as_deref().expect("shed audited");
+    assert!(shed.contains("\"outcome\":\"shed\""), "{shed}");
     assert!(
-        audits
-            .iter()
-            .any(|a| a.json.contains("\"outcome\":\"shed\"")),
-        "shed queries are audited"
+        shed.starts_with(&format!(
+            "{{\"trace_id\":{},\"query_id\":1,",
+            records[1].trace_id
+        )),
+        "{shed}"
     );
 }

@@ -1,7 +1,7 @@
 //! Columnar, delta-encoded, versioned snapshot format for the archive.
 //!
 //! The materialized [`TrajectoryArchive`] holds every GPS point twice (once
-//! in the per-trip `Vec<GpsPoint>`, once as an [`ArchivePoint`] inside the
+//! in the per-trip `Vec<GpsPoint>`, once as an [`ArchivePoint`](crate::ArchivePoint) inside the
 //! R-tree arena), which is fine for a demo but not for city scale: Beijing
 //! in the paper is millions of archived points. This module is the storage
 //! diet half of ROADMAP item 2:

@@ -290,6 +290,26 @@ impl Default for SanitizeLimits {
     }
 }
 
+impl SanitizeLimits {
+    /// Whether `p`'s coordinates and timestamp lie within these limits
+    /// (inclusive; NaN never does).
+    fn admits(&self, p: &GpsPoint) -> bool {
+        p.pos.x.abs() <= self.max_abs_coord_m
+            && p.pos.y.abs() <= self.max_abs_coord_m
+            && p.t.abs() <= self.max_abs_time_s
+    }
+
+    /// The serving input contract: finite coordinates and timestamps in
+    /// non-decreasing order ([`Trajectory::validate`]), every point within
+    /// these limits. Duplicate timestamps and large (but in-range) jumps
+    /// pass — they are data, not corruption. A query that passes is
+    /// served as-is; one that fails goes through [`sanitize_points`].
+    #[must_use]
+    pub fn is_clean(&self, query: &Trajectory) -> bool {
+        query.validate().is_ok() && query.points.iter().all(|p| self.admits(p))
+    }
+}
+
 /// Repairs a raw point sequence in place: drops non-finite and out-of-range
 /// observations, stable-sorts the rest by time, and removes exact duplicates
 /// (same timestamp *and* position as the kept predecessor — duplicated
@@ -305,11 +325,7 @@ pub fn sanitize_points(points: &mut Vec<GpsPoint>, limits: &SanitizeLimits) -> P
     repairs.dropped_non_finite = before - points.len();
 
     let before = points.len();
-    points.retain(|p| {
-        p.pos.x.abs() <= limits.max_abs_coord_m
-            && p.pos.y.abs() <= limits.max_abs_coord_m
-            && p.t.abs() <= limits.max_abs_time_s
-    });
+    points.retain(|p| limits.admits(p));
     repairs.dropped_out_of_range = before - points.len();
 
     if !points.windows(2).all(|w| w[0].t <= w[1].t) {
@@ -476,6 +492,45 @@ mod tests {
         assert_eq!(r.points_dropped(), 4);
         let times: Vec<f64> = pts.iter().map(|p| p.t).collect();
         assert_eq!(times, vec![5.0, 10.0]);
+    }
+
+    #[test]
+    fn clean_screen_is_inclusive_at_the_limits() {
+        let lim = SanitizeLimits {
+            max_abs_coord_m: 1_000.0,
+            max_abs_time_s: 500.0,
+        };
+        let query = |x: f64, t: f64| {
+            Trajectory::new(
+                TrajId(0),
+                vec![
+                    GpsPoint::new(Point::new(0.0, 0.0), 0.0),
+                    GpsPoint::new(Point::new(x, -x), t),
+                ],
+            )
+        };
+        assert!(
+            lim.is_clean(&query(1_000.0, 500.0)),
+            "exactly at the limits"
+        );
+        assert!(lim.is_clean(&query(-1_000.0, 500.0)));
+        let above = 1_000.0 + 1e-9;
+        assert!(above > 1_000.0);
+        assert!(
+            !lim.is_clean(&query(above, 500.0)),
+            "just above the coord limit"
+        );
+        assert!(
+            !lim.is_clean(&query(1_000.0, 500.0 + 1e-9)),
+            "just above the time limit"
+        );
+        let mut pts = query(above, 0.0).points;
+        assert_eq!(sanitize_points(&mut pts, &lim).dropped_out_of_range, 1);
+        let nan = Trajectory {
+            id: TrajId(0),
+            points: vec![GpsPoint::new(Point::new(f64::NAN, 0.0), 0.0)],
+        };
+        assert!(!lim.is_clean(&nan), "non-finite input is never clean");
     }
 
     #[test]

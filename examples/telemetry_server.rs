@@ -129,10 +129,11 @@ fn main() {
     if let Some(ingest) = writer.rolling_ingest_json(60.0) {
         println!("rolling ingest:  {ingest}");
     }
-    let sampled = obs.traces().iter().filter(|t| !t.spans.is_empty()).count();
+    let traces = handle.trace_ring().expect("tracing is on").snapshot();
+    let sampled = traces.iter().filter(|t| !t.spans.is_empty()).count();
     println!(
         "span trees captured on {sampled}/{} retained traces (1-in-4 sampling)",
-        obs.traces().len()
+        traces.len()
     );
 
     // 6. Clean shutdown: the server thread joins before main exits.
@@ -150,8 +151,8 @@ fn main() {
         &archive,
         params,
         EngineConfig::builder()
-            .observability(true) // span trees into the router trace ring
-            .explain(64) // audit documents into the audit ring
+            .observability(true) // span trees into the router's query log
+            .explain(true) // each record also carries its audit document
             .build()
             .expect("valid config"),
         plan,

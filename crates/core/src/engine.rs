@@ -6,14 +6,18 @@
 //! the same three-phase pipeline as a throughput-oriented front end:
 //!
 //! * **Pair fan-out** — phases 1–2 of a query (reference search + local
-//!   inference per consecutive point pair) are independent per pair; a
-//!   single query with at least `PAIR_FANOUT_MIN_PAIRS` (8) pairs fans them
-//!   out on the thread pool and hands the results to K-GRI in query order.
-//!   Shorter queries run their pairs on the calling thread, where fork/join
-//!   overhead would exceed the work.
-//! * **Batch fan-out** — a batch spreads whole queries across the pool;
-//!   each query's pairs then run in sequence, so the pool is never
-//!   oversubscribed by nested fan-out.
+//!   inference per consecutive point pair) are independent per pair; every
+//!   query with two or more pairs fans them out on the process's one
+//!   persistent worker pool (the vendored `rayon`), the calling thread
+//!   claiming pairs alongside the workers, and hands the results to K-GRI
+//!   in query order. The pool fans out only onto idle cores, so a busy host
+//!   runs the pairs on the calling thread. The router's scatter path
+//!   ([`EngineHandle::local_inference_pinned`](crate::EngineHandle::local_inference_pinned))
+//!   runs each sub-query's pairs in order: its concurrency comes from its
+//!   clients.
+//! * **Batch fan-out** — a batch spreads whole queries across the pool.
+//!   A query's pair fan-out issued from pool work runs inline, so fan-out
+//!   stays one level deep and never oversubscribes the pool.
 //! * **Candidate memo** — per-point candidate edges memoised by the *exact
 //!   bit pattern* of the position, shared by all pairs and all queries,
 //!   bounded by a wholesale flush at `CAND_MEMO_CAP` entries. The
@@ -60,12 +64,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
-
-/// Pair count from which a single query (or a router sub-query) fans its
-/// pairs out on the thread pool. Below it the pairs run on the calling
-/// thread: the fork/join overhead exceeds the work of a few pairs (the e2e
-/// benchmark measured a 0.98× *slowdown* for fan-out on 3-pair queries).
-pub(crate) const PAIR_FANOUT_MIN_PAIRS: usize = 8;
 
 /// Bound on memoised candidate lists before a wholesale flush. A pinned
 /// handle never changes epoch, so without a bound the memo would grow with
@@ -897,8 +895,8 @@ impl EngineCore {
     }
 
     /// [`EngineHandle::infer_batch_detailed`](crate::EngineHandle::infer_batch_detailed)
-    /// with the data named explicitly: with more than one query, queries fan
-    /// out across the pool and each runs its pairs in sequence.
+    /// with the data named explicitly: queries fan out across the pool, and
+    /// a query's own pair fan-out then runs inline on its thread.
     pub(crate) fn infer_batch_detailed(
         &self,
         ctx: EngineCtx<'_>,
@@ -910,24 +908,20 @@ impl EngineCore {
             obs.queue_depth.set(queries.len() as i64);
             clock::now()
         });
-        let run_one = |q: &Trajectory, pairs_fan_out: bool| {
-            if let Some(obs) = &self.obs {
-                obs.queue_depth.dec();
-                obs.workers_busy.inc();
-            }
-            let out = self.infer_query_traced(ctx, q, k, pairs_fan_out, self.mint_trace_id());
-            if let Some(obs) = &self.obs {
-                obs.workers_busy.dec();
-            }
-            out
-        };
-        let result = if queries.len() > 1 {
-            // One level of fan-out only: queries go to the pool, each
-            // query's pairs run sequentially inside their worker.
-            queries.par_iter().map(|q| run_one(q, false)).collect()
-        } else {
-            queries.iter().map(|q| run_one(q, true)).collect()
-        };
+        let result = queries
+            .par_iter()
+            .map(|q| {
+                if let Some(obs) = &self.obs {
+                    obs.queue_depth.dec();
+                    obs.workers_busy.inc();
+                }
+                let out = self.infer_query_traced(ctx, q, k, self.mint_trace_id());
+                if let Some(obs) = &self.obs {
+                    obs.workers_busy.dec();
+                }
+                out
+            })
+            .collect();
         if let (Some(obs), Some(t0)) = (&self.obs, batch_timer) {
             obs.batch_seconds
                 .observe(clock::now().duration_since(t0).as_secs_f64());
@@ -944,19 +938,17 @@ impl EngineCore {
     /// The query runs under a caller-minted trace id — the delegation seam
     /// of distributed tracing: a sharded router mints one id at its routing
     /// decision and threads it here, so the shard's record joins the
-    /// router's stitched tree. `pairs_fan_out` lets the query fan
-    /// its pairs out once it has [`PAIR_FANOUT_MIN_PAIRS`] of them; a batch
-    /// worker passes `false`.
+    /// router's stitched tree. The query's pairs fan out on the pool
+    /// (inline when the caller is itself pool work, such as a batch).
     pub(crate) fn infer_query_traced(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         k: usize,
-        pairs_fan_out: bool,
         trace_id: u64,
     ) -> QueryResult {
         if !self.cfg.validation.enabled {
-            let (globals, stats) = self.infer_detailed(ctx, query, k, pairs_fan_out, trace_id);
+            let (globals, stats) = self.infer_detailed(ctx, query, k, trace_id);
             return QueryResult {
                 globals,
                 stats,
@@ -970,7 +962,7 @@ impl EngineCore {
             return self.reject(query, trace_id, RejectReason::EmptyQuery);
         }
         if self.cfg.validation.limits.is_clean(query) {
-            let (globals, stats) = self.infer_detailed(ctx, query, k, pairs_fan_out, trace_id);
+            let (globals, stats) = self.infer_detailed(ctx, query, k, trace_id);
             return QueryResult {
                 globals,
                 stats,
@@ -985,8 +977,7 @@ impl EngineCore {
         // Sanitization guarantees finite, ordered points, so the validating
         // constructor cannot panic here.
         let repaired = Trajectory::new(query.id, pts);
-        let (globals, stats, pairs_fell_back, locals) =
-            self.infer_repaired(ctx, &repaired, k, pairs_fan_out);
+        let (globals, stats, pairs_fell_back, locals) = self.infer_repaired(ctx, &repaired, k);
         let outcome = if pairs_fell_back > 0 {
             QueryOutcome::Degraded {
                 repairs,
@@ -1052,7 +1043,6 @@ impl EngineCore {
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         k: usize,
-        pairs_fan_out: bool,
     ) -> (
         Vec<GlobalRoute>,
         Vec<LocalStats>,
@@ -1092,11 +1082,7 @@ impl EngineCore {
             )
         };
         let results: Vec<(LocalInferenceResult, bool)> =
-            if fans_out(pairs_fan_out, pair_indices.len()) {
-                pair_indices.par_iter().map(|&i| work(i)).collect()
-            } else {
-                pair_indices.into_iter().map(work).collect()
-            };
+            pair_indices.par_iter().map(|&i| work(i)).collect();
         let fell_back = results.iter().filter(|(_, fb)| *fb).count();
         let locals = results.into_iter().map(|(l, _)| l).collect();
         finish(locals, fell_back)
@@ -1107,13 +1093,12 @@ impl EngineCore {
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         k: usize,
-        pairs_fan_out: bool,
         trace_id: u64,
     ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
         let params = ctx.params;
         let Some(obs) = &self.obs else {
             // Uninstrumented fast path: no clocks, no tallies, no spans.
-            let run = self.local_inference_run(ctx, query, pairs_fan_out, None, false, None);
+            let run = self.local_inference_run(ctx, query, true, None, false, None);
             let stats = run.locals.iter().map(|l| l.stats.clone()).collect();
             let globals = self.score_globals(ctx, &run.locals, k);
             let rec = TraceRecord {
@@ -1139,8 +1124,7 @@ impl EngineCore {
 
         let t_query = clock::now();
         let tally = self.traces.is_some().then(CacheTally::default);
-        let run =
-            self.local_inference_run(ctx, query, pairs_fan_out, tally.as_ref(), true, spanctx);
+        let run = self.local_inference_run(ctx, query, true, tally.as_ref(), true, spanctx);
 
         let mut global_guard = spanctx.map(|(c, root)| c.child(root, "global"));
         let global_span_id = global_guard.as_ref().map_or(0, SpanGuard::id);
@@ -1232,12 +1216,14 @@ impl EngineCore {
     /// Phases 1–2 with optional wall-clock timing (`timed`), optional
     /// per-query cache attribution (`tally`) and optional span capture
     /// (`spans` = collector + root span id). Untimed calls perform zero
-    /// clock reads. `pairs_fan_out` as in [`EngineCore::infer_query_traced`].
+    /// clock reads. With `fan_out` the pairs fan out on the pool; without
+    /// it they run in order on the calling thread (the router's scatter
+    /// path, whose concurrency comes from its clients).
     pub(crate) fn local_inference_run(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
-        pairs_fan_out: bool,
+        fan_out: bool,
         tally: Option<&CacheTally>,
         timed: bool,
         spans: Option<(&SpanCollector, u64)>,
@@ -1307,7 +1293,7 @@ impl EngineCore {
             .0
         };
         let t_local = timed.then(clock::now);
-        let locals = if fans_out(pairs_fan_out, pair_indices.len()) {
+        let locals = if fan_out {
             pair_indices.par_iter().map(|&i| work(i)).collect()
         } else {
             pair_indices.into_iter().map(work).collect()
@@ -1403,14 +1389,6 @@ fn untimed_record(trace_id: u64, points: usize, globals: &[GlobalRoute]) -> Trac
         top_log_score: globals.first().map(|g| g.log_score),
         ..TraceRecord::default()
     }
-}
-
-/// Whether a query with `pairs` point pairs fans them out on the pool:
-/// only when its caller allows it and it has at least
-/// [`PAIR_FANOUT_MIN_PAIRS`] pairs. Scheduling never changes results, so
-/// this is a pure throughput decision.
-fn fans_out(allowed: bool, pairs: usize) -> bool {
-    allowed && pairs >= PAIR_FANOUT_MIN_PAIRS
 }
 
 #[cfg(test)]

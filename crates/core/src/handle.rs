@@ -355,7 +355,7 @@ impl EngineHandle {
         };
         let snap = self.current_snapshot();
         self.core
-            .infer_query_traced(self.ctx(&snap), query, k, true, trace_id)
+            .infer_query_traced(self.ctx(&snap), query, k, trace_id)
     }
 
     /// Every query of a batch against **one** epoch: the snapshot is read
@@ -411,7 +411,7 @@ impl EngineHandle {
             .iter()
             .map(|q| {
                 self.core
-                    .local_inference_run(self.ctx(&snap), q, true, None, false, spans)
+                    .local_inference_run(self.ctx(&snap), q, false, None, false, spans)
                     .locals
             })
             .collect();
@@ -621,12 +621,12 @@ mod tests {
         assert_eq!(owned.outcome, QueryOutcome::Ok);
     }
 
-    /// A query long enough to fan its pairs out: the fanned-out single
-    /// query, the same query inside a batch (pairs in sequence) and the
-    /// reference pipeline agree to the bit.
+    /// Every query with two or more pairs fans them out: a 2-pair and a
+    /// 5-pair query through `infer_query`, the same queries inside a batch
+    /// (where their pair fan-out runs inline) and the reference pipeline
+    /// agree to the bit, and so does the router's sequential entry point.
     #[test]
     fn fanned_out_query_matches_batch_and_hris() {
-        use crate::engine::PAIR_FANOUT_MIN_PAIRS;
         use hris_traj::{resample_to_interval, SimConfig, Simulator};
         let net = Arc::new(generator::generate(&NetworkConfig::small(8)));
         let mut sim = Simulator::new(
@@ -645,33 +645,38 @@ mod tests {
             .max_by(|a, b| a.length(&net).total_cmp(&b.length(&net)))
             .unwrap();
         let pts = hris_traj::simulator::drive_route(&net, longest, 0.0, 20.0, 0.8).unwrap();
-        // Ten pairs over the whole drive.
-        let interval = (pts[pts.len() - 1].t - pts[0].t) / 10.0;
-        let long = resample_to_interval(&Trajectory::new(TrajId(0), pts), interval);
-        assert!(
-            long.len() > PAIR_FANOUT_MIN_PAIRS,
-            "the query must fan out: {} points",
-            long.len()
-        );
+        let span = pts[pts.len() - 1].t - pts[0].t;
+        let drive = Trajectory::new(TrajId(0), pts);
+        let queries: Vec<Trajectory> = [2usize, 5]
+            .iter()
+            .map(|&pairs| {
+                let q = resample_to_interval(&drive, span / pairs as f64);
+                let q = Trajectory::new(q.id, q.points[..=pairs].to_vec());
+                assert_eq!(q.len() - 1, pairs, "a {pairs}-pair query");
+                q
+            })
+            .collect();
         let hris = crate::Hris::new(&net, archive.clone(), crate::HrisParams::default());
         let handle = EngineHandle::new(Arc::clone(&net), archive, crate::HrisParams::default());
         let k = 3;
-        let (want, want_stats) = hris.infer_routes_detailed(&long, k);
-        assert!(!want.is_empty());
-        let single = handle.infer_query(&long, k);
-        assert_identical("fanned-out query", &single.globals, &want);
-        assert_eq!(single.stats.len(), want_stats.len());
-        let batch = handle.infer_batch_detailed(&[query(0.0), long.clone()], k);
-        assert_identical("batch member", &batch[1].globals, &want);
-        assert_eq!(batch[1].stats.len(), want_stats.len());
-        // The router's entry point fans out too and hands back the same
-        // local inference as the reference pipeline.
-        let (locals, epoch) = handle.local_inference_pinned(std::slice::from_ref(&long), None);
+        let mut batch_input = vec![query(0.0)];
+        batch_input.extend(queries.iter().cloned());
+        let batch = handle.infer_batch_detailed(&batch_input, k);
+        let (pinned, epoch) = handle.local_inference_pinned(&queries, None);
         assert_eq!(epoch, 0);
-        let reference = hris.local_inference(&long);
-        assert_eq!(locals[0].len(), reference.len());
-        for (a, b) in locals[0].iter().zip(&reference) {
-            assert_eq!(a.routes, b.routes);
+        for (i, q) in queries.iter().enumerate() {
+            let (want, want_stats) = hris.infer_routes_detailed(q, k);
+            assert!(!want.is_empty());
+            let single = handle.infer_query(q, k);
+            assert_identical("fanned-out query", &single.globals, &want);
+            assert_eq!(single.stats.len(), want_stats.len());
+            assert_identical("batch member", &batch[i + 1].globals, &want);
+            assert_eq!(batch[i + 1].stats.len(), want_stats.len());
+            let reference = hris.local_inference(q);
+            assert_eq!(pinned[i].len(), reference.len());
+            for (a, b) in pinned[i].iter().zip(&reference) {
+                assert_eq!(a.routes, b.routes);
+            }
         }
     }
 

@@ -22,6 +22,7 @@ use hris_geo::Point;
 use hris_roadnet::FxHashMap;
 use hris_traj::{GpsPoint, ProjectedRun, TrajId, TrajectoryArchive};
 use std::cell::Cell;
+use std::ops::Range;
 
 thread_local! {
     /// Per-trajectory `(dist², point index)` argmin slots of
@@ -226,7 +227,10 @@ pub fn search_references(
         }
     }
 
-    let mut refs = Vec::new();
+    // References are recorded as archive runs and copied out only once the
+    // per-pair cap has picked the ones kept: a sparse pair can stitch
+    // thousands of candidates of which at most `max_refs` survive.
+    let mut found: Vec<Found> = Vec::new();
     // Relevance key for the per-pair cap: how close the reference's
     // endpoints come to the query points.
     let mut relevance: Vec<f64> = Vec::new();
@@ -255,21 +259,15 @@ pub fn search_references(
             }
         }
         // Condition 3: speed feasibility of every in-between point.
-        let sub = &traj.points[m..=n];
-        if speed_feasible(sub, qi, qj, budget) {
+        if speed_feasible(&traj.points[m..=n], qi, qj, budget) {
             simple_ids.push(id);
             relevance.push(pm.pos.dist(qi) + pn.pos.dist(qj));
-            refs.push(RefTrajectory {
-                kind: RefKind::Simple,
-                sources: vec![id],
-                points: sub.to_vec(),
-                runs: vec![archive.projected_run(id, m..n + 1)],
-            });
+            found.push(Found::Simple { id, run: m..n + 1 });
         }
     }
 
     // --- spliced references (sparse areas only) ---------------------------
-    if splice_eps > 0.0 && refs.len() < cfg.splice_when_simple_below {
+    if splice_eps > 0.0 && found.len() < cfg.splice_when_simple_below {
         // Side A: trajectories near q_i that did not qualify as simple.
         // For each, the tail from its nearest point to q_i onwards.
         let mut side_a: Vec<(TrajId, usize, usize)> = Vec::new(); // (id, nn_idx, last_usable)
@@ -283,8 +281,12 @@ pub fn search_references(
             }
             side_a.push((id, m, traj.len() - 1));
         }
-        // Side B: trajectories near q_{i+1}, prefix up to the nearest point.
-        let mut side_b: Vec<(TrajId, usize, usize)> = Vec::new(); // (id, first_usable, nn_idx)
+        // Side B: trajectories near q_{i+1}, prefix up to the nearest point,
+        // as (id, nn_idx, feasible_from): from `feasible_from` on, the
+        // prefix is speed-feasible through to the nearest point.
+        let mut side_b: Vec<(TrajId, usize, usize)> = Vec::new();
+        // Grid join: bucket side-B candidate points by `splice_eps` cells.
+        let mut grid: FxHashMap<(i64, i64), Vec<GridPoint>> = FxHashMap::default();
         for &(id, n) in &rows_j {
             if simple_ids.binary_search(&id).is_ok() {
                 continue;
@@ -293,31 +295,61 @@ pub fn search_references(
             if traj.points[n].pos.dist(qj) > phi {
                 continue;
             }
-            side_b.push((id, 0, n));
-        }
-
-        // Grid join: bucket side-B candidate points by `splice_eps` cells.
-        let mut grid: FxHashMap<(i64, i64), Vec<(usize, usize)>> = FxHashMap::default(); // cell -> (b_pos, pt_idx)
-        for (bi, &(id, first, nn)) in side_b.iter().enumerate() {
-            let traj = archive.trajectory(id);
-            for k in first..=nn {
+            let bi = side_b.len();
+            let mut feasible_from = 0;
+            for k in 0..=n {
                 let p = traj.points[k].pos;
+                // Feasible as `speed_feasible` has it (`<=`, so NaN is not);
+                // the ellipse filter below keeps its `> budget` skip form.
+                let to_qj = p.dist(qj);
+                let detour = p.dist(qi) + to_qj;
+                let feasible = detour <= budget;
+                if !feasible {
+                    feasible_from = k + 1;
+                }
                 // Only points inside the speed-feasible ellipse can appear
                 // in a valid spliced reference.
-                if p.dist(qi) + p.dist(qj) > budget {
+                if detour > budget {
                     continue;
                 }
-                grid.entry(cell(p, splice_eps)).or_default().push((bi, k));
+                grid.entry(cell(p, splice_eps))
+                    .or_default()
+                    .push(GridPoint {
+                        bi,
+                        k,
+                        pos: p,
+                        to_qj,
+                    });
             }
+            side_b.push((id, n, feasible_from));
         }
 
-        // For each (T_a, T_b) pair keep the best splicing pair.
-        let mut best_pairs: FxHashMap<(usize, usize), (f64, usize, usize)> = FxHashMap::default();
-        for (ai, &(id_a, nn_a, last)) in side_a.iter().enumerate() {
+        // For each (T_a, T_b) pair keep the best splicing pair: one dense
+        // row over side B per side-A trajectory, drained in ascending `bi`
+        // so the spliced refs come out in (ai, bi) order.
+        let mut row: Vec<Option<(f64, usize, usize)>> = vec![None; side_b.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        for &(id_a, nn_a, last) in &side_a {
             let traj_a = archive.trajectory(id_a);
+            // A stitch starts at T_a's nearest point, so the time-of-day
+            // filter rejects all of T_a's stitches or none.
+            if let Some((tod, tol)) = cfg.temporal {
+                if tod_distance_s(traj_a.points[nn_a].t, tod) > tol {
+                    continue;
+                }
+            }
+            // The stitch's A side `nn_a..=ka` is speed-feasible iff
+            // `ka < feasible_to`.
+            let mut feasible_to = last + 1;
             for ka in nn_a..=last {
                 let pa = traj_a.points[ka].pos;
-                if pa.dist(qi) + pa.dist(qj) > budget {
+                let da = pa.dist(qi);
+                let detour = da + pa.dist(qj);
+                let feasible = detour <= budget;
+                if !feasible && feasible_to > last {
+                    feasible_to = ka;
+                }
+                if detour > budget {
                     continue;
                 }
                 let c = cell(pa, splice_eps);
@@ -326,83 +358,112 @@ pub fn search_references(
                         let Some(hits) = grid.get(&(c.0 + dx, c.1 + dy)) else {
                             continue;
                         };
-                        for &(bi, kb) in hits {
-                            let id_b = side_b[bi].0;
-                            if id_b == id_a {
+                        for b in hits {
+                            if side_b[b.bi].0 == id_a {
                                 continue;
                             }
-                            let pb = archive.trajectory(id_b).points[kb].pos;
-                            if pa.dist(pb) > splice_eps {
+                            if pa.dist(b.pos) > splice_eps {
                                 continue;
                             }
                             // Paper: among multiple splicing pairs of the
                             // same (T_a, T_b), keep the one minimising
                             // d(p_a, q_i) + d(p_b, q_{i+1}).
-                            let key = (ai, bi);
-                            let val = pa.dist(qi) + pb.dist(qj);
-                            let entry = best_pairs.entry(key).or_insert((f64::INFINITY, 0, 0));
+                            let val = da + b.to_qj;
+                            let entry = row[b.bi].get_or_insert_with(|| {
+                                touched.push(b.bi);
+                                (f64::INFINITY, 0, 0)
+                            });
                             if val < entry.0 {
-                                *entry = (val, ka, kb);
+                                *entry = (val, ka, b.k);
                             }
                         }
                     }
                 }
             }
-        }
 
-        // Drain in (ai, bi) order so the spliced refs come out in a
-        // deterministic order regardless of hash-map internals.
-        let mut ordered: Vec<_> = best_pairs.into_iter().collect();
-        ordered.sort_unstable_by_key(|&(key, _)| key);
-        for ((ai, bi), (_, ka, kb)) in ordered {
-            let (id_a, nn_a, _) = side_a[ai];
-            let (id_b, _, nn_b) = side_b[bi];
-            if kb > nn_b {
-                continue;
-            }
-            let ta = archive.trajectory(id_a);
-            let tb = archive.trajectory(id_b);
-            let mut points: Vec<GpsPoint> = ta.points[nn_a..=ka].to_vec();
-            points.extend_from_slice(&tb.points[kb..=nn_b]);
-            // Re-check Definition 6's conditions on the stitched result.
-            if points.len() < 2 {
-                continue;
-            }
-            if !speed_feasible(&points, qi, qj, budget) {
-                continue;
-            }
-            if let Some((tod, tol)) = cfg.temporal {
-                if tod_distance_s(points[0].t, tod) > tol {
+            touched.sort_unstable();
+            for bi in touched.drain(..) {
+                let (_, ka, kb) = row[bi].take().expect("touched entries are set");
+                let (id_b, nn_b, feasible_from) = side_b[bi];
+                // Definition 6's speed condition on the stitched run, from
+                // the bounds of its two halves.
+                if ka >= feasible_to || kb < feasible_from {
                     continue;
                 }
+                let last_b = archive.trajectory(id_b).points[nn_b].pos;
+                relevance.push(traj_a.points[nn_a].pos.dist(qi) + last_b.dist(qj));
+                found.push(Found::Spliced {
+                    a: (id_a, nn_a..ka + 1),
+                    b: (id_b, kb..nn_b + 1),
+                });
             }
-            relevance.push(points[0].pos.dist(qi) + points.last().expect("len>=2").pos.dist(qj));
-            refs.push(RefTrajectory {
-                kind: RefKind::Spliced,
-                sources: vec![id_a, id_b],
-                points,
-                runs: vec![
-                    archive.projected_run(id_a, nn_a..ka + 1),
-                    archive.projected_run(id_b, kb..nn_b + 1),
-                ],
-            });
         }
     }
 
     // --- per-pair cap: keep the most relevant references -----------------
-    if refs.len() > cfg.max_refs {
-        let mut order: Vec<usize> = (0..refs.len()).collect();
+    if found.len() > cfg.max_refs {
+        let mut order: Vec<usize> = (0..found.len()).collect();
         order.sort_by(|&a, &b| relevance[a].total_cmp(&relevance[b]));
         order.truncate(cfg.max_refs);
         order.sort_unstable(); // preserve original relative order
-        let mut kept = Vec::with_capacity(cfg.max_refs);
-        for i in order {
-            kept.push(refs[i].clone());
-        }
-        refs = kept;
+        found = order.into_iter().map(|i| found[i].clone()).collect();
     }
 
-    ReferenceSet { refs }
+    ReferenceSet {
+        refs: found.into_iter().map(|f| f.copy_out(archive)).collect(),
+    }
+}
+
+/// A side-B point in the splice grid: its trip's position in side B, its
+/// index in the trip, its position and its distance to `q_{i+1}`.
+struct GridPoint {
+    bi: usize,
+    k: usize,
+    pos: Point,
+    to_qj: f64,
+}
+
+/// A reference as the archive runs it is made of, before its points are
+/// copied.
+#[derive(Clone)]
+enum Found {
+    Simple {
+        id: TrajId,
+        run: Range<usize>,
+    },
+    Spliced {
+        a: (TrajId, Range<usize>),
+        b: (TrajId, Range<usize>),
+    },
+}
+
+impl Found {
+    fn copy_out(self, archive: &TrajectoryArchive) -> RefTrajectory {
+        match self {
+            Found::Simple { id, run } => RefTrajectory {
+                kind: RefKind::Simple,
+                sources: vec![id],
+                points: archive.trajectory(id).points[run.clone()].to_vec(),
+                runs: vec![archive.projected_run(id, run)],
+            },
+            Found::Spliced {
+                a: (id_a, run_a),
+                b: (id_b, run_b),
+            } => {
+                let mut points = archive.trajectory(id_a).points[run_a.clone()].to_vec();
+                points.extend_from_slice(&archive.trajectory(id_b).points[run_b.clone()]);
+                RefTrajectory {
+                    kind: RefKind::Spliced,
+                    sources: vec![id_a, id_b],
+                    points,
+                    runs: vec![
+                        archive.projected_run(id_a, run_a),
+                        archive.projected_run(id_b, run_b),
+                    ],
+                }
+            }
+        }
+    }
 }
 
 /// Condition 3 of Definition 6 over a point run.

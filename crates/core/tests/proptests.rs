@@ -27,11 +27,13 @@ fn test_net() -> hris_roadnet::RoadNetwork {
 
 /// Strategy: a random time-ordered trajectory inside a 4 km box.
 fn trajectory(max_pts: usize) -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec(
-        (0.0..4_000.0f64, 0.0..4_000.0f64, 1.0..120.0f64),
-        2..max_pts,
-    )
-    .prop_map(|steps| {
+    trajectory_in(max_pts, 0.0..4_000.0)
+}
+
+/// Strategy: a random time-ordered trajectory with `x` in 0–4 km and `y`
+/// in `ys`.
+fn trajectory_in(max_pts: usize, ys: std::ops::Range<f64>) -> impl Strategy<Value = Trajectory> {
+    prop::collection::vec((0.0..4_000.0f64, ys, 1.0..120.0f64), 2..max_pts).prop_map(|steps| {
         let mut t = 0.0;
         let pts = steps
             .into_iter()
@@ -164,6 +166,88 @@ proptest! {
                 .any(|w| w[0].pos.dist(w[1].pos) <= eps + 1e-9);
             prop_assert!(has_joint);
         }
+    }
+
+    /// The grid splice join finds exactly the spliced references of a
+    /// brute-force join over every (T_a, T_b) pair and every splicing pair
+    /// (Definition 7, best pair by d(p_a, q_i) + d(p_b, q_{i+1})), in
+    /// (T_a, T_b) order and with the same points. Random coordinates make
+    /// exact score ties, where the two joins may break them differently,
+    /// a null event. Trips stay in a corridor around the query pair, so
+    /// most cases splice.
+    #[test]
+    fn splice_join_matches_brute_force(
+        trajs in prop::collection::vec(trajectory_in(12, 1_500.0..2_500.0), 2..16),
+        dt in 100.0..900.0f64,
+        eps in 50.0..700.0f64,
+    ) {
+        let archive = TrajectoryArchive::new(trajs);
+        let (qi, qj, phi, v_max) = (Point::new(800.0, 2_000.0), Point::new(3_200.0, 2_000.0), 900.0, 25.0);
+        let cfg = RefSearchConfig {
+            splice_when_simple_below: usize::MAX,
+            max_refs: usize::MAX,
+            ..RefSearchConfig::new(phi, eps)
+        };
+        let refs = search_references(&archive, qi, qj, dt, v_max, &cfg);
+        let budget = dt * v_max;
+        let simple: HashSet<TrajId> = refs
+            .refs
+            .iter()
+            .filter(|r| r.kind == RefKind::Simple)
+            .map(|r| r.sources[0])
+            .collect();
+        let side = |q: Point| -> Vec<(TrajId, usize)> {
+            archive
+                .trajectories()
+                .iter()
+                .enumerate()
+                .filter_map(|(t, traj)| {
+                    let id = TrajId(t as u32);
+                    let (m, p) = traj.nearest_point(q)?;
+                    (p.pos.dist(q) <= phi && !simple.contains(&id)).then_some((id, m))
+                })
+                .collect()
+        };
+        let detour = |p: Point| p.dist(qi) + p.dist(qj);
+        let mut want: Vec<(Vec<TrajId>, Vec<GpsPoint>)> = Vec::new();
+        for (id_a, nn_a) in side(qi) {
+            for (id_b, nn_b) in side(qj) {
+                if id_a == id_b {
+                    continue;
+                }
+                let (ta, tb) = (archive.trajectory(id_a), archive.trajectory(id_b));
+                let mut best: Option<(f64, usize, usize)> = None;
+                for ka in nn_a..ta.len() {
+                    let pa = ta.points[ka].pos;
+                    if detour(pa) > budget {
+                        continue;
+                    }
+                    for kb in 0..=nn_b {
+                        let pb = tb.points[kb].pos;
+                        if detour(pb) > budget || pa.dist(pb) > eps {
+                            continue;
+                        }
+                        let val = pa.dist(qi) + pb.dist(qj);
+                        if best.is_none_or(|(v, _, _)| val < v) {
+                            best = Some((val, ka, kb));
+                        }
+                    }
+                }
+                let Some((_, ka, kb)) = best else { continue };
+                let mut points = ta.points[nn_a..=ka].to_vec();
+                points.extend_from_slice(&tb.points[kb..=nn_b]);
+                if points.iter().all(|p| detour(p.pos) <= budget) {
+                    want.push((vec![id_a, id_b], points));
+                }
+            }
+        }
+        let got: Vec<(Vec<TrajId>, Vec<GpsPoint>)> = refs
+            .refs
+            .into_iter()
+            .filter(|r| r.kind == RefKind::Spliced)
+            .map(|r| (r.sources, r.points))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 
     /// The per-pair cap really caps, keeping the nearest-endpoint refs.

@@ -41,7 +41,7 @@ use crate::route::Route;
 use crate::shortest::{CostModel, PathResult};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Past this many strongly-connected components the O(C²/64) reachability
 /// bitmatrix is skipped (probes fall through to a tree lookup instead).
@@ -315,6 +315,14 @@ impl ReachMatrix {
 
 type SptShard = Mutex<FxHashMap<(u32, u8), Arc<SptTree>>>;
 
+/// Locks an oracle mutex, recovering it if a panicking query poisoned it.
+/// The oracle is a pure memo: each critical section is one map or vector
+/// operation, so the data is valid even after a panic, and a lost tree or
+/// scratch buffer only costs recomputation.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Precomputed shortest-path oracle over one immutable [`RoadNetwork`].
 ///
 /// See the [module docs](self) for the layering. The oracle is pure with
@@ -474,15 +482,13 @@ impl SpOracle {
     /// Number of shortest-path trees currently cached.
     #[must_use]
     pub fn cached_trees(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("spt shard").len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
+    /// The shard of `source`, locked.
     #[inline]
-    fn shard(&self, source: NodeId) -> &SptShard {
-        &self.shards[source.index() % SPT_SHARDS]
+    fn shard(&self, source: NodeId) -> MutexGuard<'_, FxHashMap<(u32, u8), Arc<SptTree>>> {
+        lock(&self.shards[source.index() % SPT_SHARDS])
     }
 
     /// The cached tree for `(source, model)` without computing one.
@@ -491,12 +497,7 @@ impl SpOracle {
     #[must_use]
     pub fn cached_spt(&self, source: NodeId, model: CostModel) -> Option<Arc<SptTree>> {
         let key = (source.0, lane(model) as u8);
-        let found = self
-            .shard(source)
-            .lock()
-            .expect("spt shard")
-            .get(&key)
-            .cloned();
+        let found = self.shard(source).get(&key).cloned();
         if found.is_some() {
             self.lookups.hit();
         }
@@ -508,7 +509,7 @@ impl SpOracle {
     pub fn spt(&self, source: NodeId, model: CostModel) -> Arc<SptTree> {
         let key = (source.0, lane(model) as u8);
         {
-            let mut shard = self.shard(source).lock().expect("spt shard");
+            let mut shard = self.shard(source);
             if let Some(t) = shard.get(&key) {
                 self.lookups.hit();
                 return Arc::clone(t);
@@ -521,25 +522,16 @@ impl SpOracle {
         }
         self.lookups.miss();
         let tree = Arc::new(self.compute_spt(source, model));
-        self.shard(source)
-            .lock()
-            .expect("spt shard")
-            .insert(key, Arc::clone(&tree));
+        self.shard(source).insert(key, Arc::clone(&tree));
         tree
     }
 
     fn with_scratch<R>(&self, f: impl FnOnce(&mut ScratchBuffers) -> R) -> R {
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .expect("scratch pool")
+        let mut scratch = lock(&self.scratch_pool)
             .pop()
             .unwrap_or_else(|| ScratchBuffers::for_nodes(self.csr.num_nodes()));
         let out = f(&mut scratch);
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool")
-            .push(scratch);
+        lock(&self.scratch_pool).push(scratch);
         out
     }
 
@@ -768,7 +760,7 @@ impl SpOracle {
     /// (cumulative service statistics, not cache contents).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("spt shard").clear();
+            lock(shard).clear();
         }
     }
 }
@@ -908,6 +900,32 @@ mod tests {
         oracle.clear();
         assert_eq!(oracle.cached_trees(), 0);
         assert!(oracle.hits() > 0, "counters survive clear");
+    }
+
+    #[test]
+    fn tree_cache_survives_a_poisoned_shard() {
+        let net = grid();
+        let oracle = SpOracle::build(&net);
+        let r = net.out_segments(NodeId(0))[0];
+        let s = net.in_segments(NodeId(15))[0];
+        let first = oracle.route_between(r, s, CostModel::Distance);
+        assert!(first.is_some());
+        // Poison every shard, so the one holding the cached tree is too.
+        for shard in &oracle.shards {
+            let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = shard.lock().expect("not yet poisoned");
+                panic!("query panicked while holding the shard lock");
+            }));
+            assert!(poisoned.is_err());
+            assert!(shard.is_poisoned());
+        }
+        let hits = oracle.hits();
+        assert!(oracle.cached_trees() >= 1);
+        assert_eq!(oracle.route_between(r, s, CostModel::Distance), first);
+        assert!(oracle.hits() > hits, "the cached tree still answers");
+        oracle.clear();
+        assert_eq!(oracle.cached_trees(), 0);
+        assert_eq!(oracle.route_between(r, s, CostModel::Distance), first);
     }
 
     #[test]
